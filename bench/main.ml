@@ -535,16 +535,11 @@ int main() {
       {
         Config.default with
         ncpus = 4;
-        buffer_slots = 256;
-        temp_slots = 16;
-        degrade_after = 4;
+        policy = Config.Policy.static ~degrade_after:4 ();
         buffers =
-          {
-            Config.Buffers.default with
-            Config.Buffers.shards;
-            spill_slots = (if spill then spill_slots else 0);
-            line_words;
-          };
+          Config.Buffers.make ~slots:256 ~temp_slots:16 ~shards
+            ~spill_slots:(if spill then spill_slots else 0)
+            ~line_words ();
       }
     in
     let r = Eval.run_tls cfg t in

@@ -140,20 +140,6 @@ let trace_arg =
                format $(b,mutlsc report) consumes), anything else Chrome \
                trace_event JSON loadable in chrome://tracing or Perfetto.")
 
-(* The library never reads the process environment; the deprecated
-   MUTLS_DEBUG / MUTLS_DEBUG2 toggles survive only as this CLI shim
-   selecting the stderr pretty-printing sink. *)
-let env_shim_sink () =
-  let dbg = Sys.getenv_opt "MUTLS_DEBUG" <> None in
-  let dbg2 = Sys.getenv_opt "MUTLS_DEBUG2" <> None in
-  if dbg || dbg2 then begin
-    Printf.eprintf
-      "mutlsc: warning: MUTLS_DEBUG/MUTLS_DEBUG2 are deprecated; mapping them \
-       to the stderr trace sink (prefer --trace FILE)\n%!";
-    Some (Mutls.Trace.stderr_pretty ~charges:dbg2 ())
-  end
-  else None
-
 let file_sink path =
   let oc = open_out path in
   let base =
@@ -176,14 +162,7 @@ let file_sink path =
         end) }
 
 let make_sink trace =
-  let sinks =
-    (match trace with None -> [] | Some path -> [ file_sink path ])
-    @ (match env_shim_sink () with None -> [] | Some s -> [ s ])
-  in
-  match sinks with
-  | [] -> Mutls.Trace.null
-  | [ s ] -> s
-  | ss -> Mutls.Trace.tee ss
+  match trace with None -> Mutls.Trace.null | Some path -> file_sink path
 
 let make_cfg cpus model rollback policy buffers sink =
   { Mutls.Config.default with

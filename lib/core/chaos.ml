@@ -328,23 +328,23 @@ let run_case (case : case) =
     {
       Config.default with
       ncpus = case.ncpus;
-      buffer_slots = case.buffer_slots;
-      temp_slots = case.temp_slots;
       buffers =
         {
-          Config.Buffers.default with
-          Config.Buffers.shards = case.shards;
+          Config.Buffers.slots = case.buffer_slots;
+          temp_slots = case.temp_slots;
+          shards = case.shards;
           spill_slots = case.spill_slots;
           line_words = case.line_words;
         };
       seed = case.run_seed;
       fault = (if Fault.is_none case.plan then None else Some case.plan);
-      backoff = case.backoff;
-      degrade_after = case.degrade_after;
-      (* Flat backoff/degrade_after stay in the deprecated fields so a
-         Static case replays the pre-policy configuration exactly;
-         [Config.effective_policy] folds them in. *)
-      policy = { Config.Policy.default with Config.Policy.kind = case.policy };
+      policy =
+        {
+          Config.Policy.default with
+          Config.Policy.kind = case.policy;
+          backoff = case.backoff;
+          degrade_after = case.degrade_after;
+        };
       trace_sink = Oracle.sink oracle;
     }
   in

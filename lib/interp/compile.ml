@@ -1,12 +1,14 @@
 (* The compiled MIR execution engine: prepare once, run many.
 
-   [compile] lowers each [Ir.func] into dense arrays — blocks indexed
-   by int instead of name, operands pre-resolved into slot closures
-   (const / reg / arg / cached global address), phi nodes lowered to
-   per-predecessor-edge parallel move lists, branch targets resolved to
-   block ids with switches lowered to a sorted array searched by
+   [compile] lowers each [Ir.func] once into dense arrays — blocks
+   indexed by int instead of name, phi nodes lowered to
+   per-predecessor-edge parallel move lists, branch targets resolved
+   to block ids with switches lowered to a sorted array searched by
    binary search, and callees classified once at compile time
    (interning the MUTLS_* runtime-call names into [Ir.runtime_fn]).
+   The data path runs on two untagged register banks (see "compiled
+   representation" below), so hot segments never allocate a
+   [Value.v].
 
    Cost accounting is batched per straight-line segment: the per-op
    tick amounts are pre-materialized in a float array, and the runtime
@@ -22,20 +24,37 @@
 
    Semantic-parity ground rules, to stay observably equivalent to
    [Reference] (the retained tree-walker):
-   - scalar semantics come from [Ops], shared by both engines;
+   - scalar semantics are [Ops]'s, inlined per opcode on the banks;
    - anything malformed that the reference only rejects when executed
      (unknown callee, void load, missing phi edge, unknown branch
      target) compiles to a closure that traps when executed, never at
      compile time;
    - pure computation (operand evaluation) may move relative to ticks,
      but every effect — memory access, buffer output, runtime call —
-     stays after all of its op's ticks, as in the reference. *)
+     stays after all of its op's ticks, as in the reference.
+
+   A module whose registers and operands do not have one static bank
+   each (see [analyze]) is not lowered at all: [compile] still
+   succeeds, and [call] on it raises [Ops.Trap] naming the function
+   and construct.  Such IR fails [Verify.check_module] or is built by
+   hand; every front end's output is bankable. *)
 
 open Mutls_mir
 open Mutls_runtime
 open Value
 
-(* --- compiled representation ----------------------------------------- *)
+(* --- compiled representation -----------------------------------------
+
+   Each function's data path lives on two untagged banks instead of a
+   [Value.v array]: an int bank (one [Bytes.t], 8 bytes per slot)
+   holding i1/i8/i32/i64/ptr values, and a float bank (a flat
+   [float array]).  Slot 0 of each bank is the return slot; registers,
+   arguments, phi-move scratch and interned constants follow.  Every
+   int operand collapses to a byte offset into the int bank (negative
+   codes address the per-run global cache), so the specialized op
+   closures below read, compute and write without ever allocating a
+   [Value.v]; boxed values survive only at the [call]/extern/stub
+   boundary. *)
 
 type mode =
   | Seq of seq_state
@@ -46,79 +65,23 @@ and seq_state = { mutable seq_cost : float }
 type prog = {
   modul : Ir.modul;
   cost : Config.cost;
-  cfuncs : cfunc array;
-  kfuncs : kfunc array; (* register-bank lowering; empty when the
-                           module is not bankable (see [analyze]) *)
+  kfuncs : kfunc array; (* empty when [rejected] *)
+  rejected : string option; (* why [analyze] refused the module *)
   func_ids : (string, int) Hashtbl.t; (* name -> index; last binding wins *)
   nglobals : int; (* interned global names, for the address cache *)
   gnames : string array; (* global id -> name, for lazy resolution *)
 }
-
-and cfunc = {
-  cf_name : string;
-  cf_nregs : int;
-  cf_ntmp : int; (* phi-move scratch size *)
-  cf_entry : edge option; (* entry-block phi handling (malformed IR) *)
-  cf_blocks : cblock array;
-}
-
-and cblock = { items : item array; cterm : cterm }
-
-(* A block body is a sequence of straight-line segments (batchable)
-   separated by calls (which tick through the normal per-call path and
-   may yield, trap, or recurse). *)
-and item = Iseg of seg | Icall of (frame -> unit)
-
-and seg = {
-  ops : (frame -> unit) array;
-  ticks : float array; (* every tick of the segment, in reference order *)
-  counts : int array; (* ticks per op; trailing ticks belong to no op *)
-}
-
-and cterm =
-  | Tbr of edge
-  | Tcbr of (frame -> v) * edge * edge
-  | Tswitch of (frame -> v) * int64 array * edge array * edge
-  | Tret of (frame -> v) option
-  | Tunreachable of string
-
-(* Taking an edge performs the target's phi moves (parallel: sources
-   all read before destinations are written).  [Etrap] replicates the
-   reference's behaviour on a missing incoming entry: earlier phi
-   sources still evaluate (they may trap first), then the trap. *)
-and edge =
-  | Eok of { tgt : int; dsts : int array; srcs : (frame -> v) array }
-  | Etrap of { pre : (frame -> v) array; msg : string }
-
-and frame = { ec : ectx; regs : v array; args : v array; tmp : v array }
 
 and ectx = {
   prog : prog;
   mem : Memory.t;
   mode : mode;
   out : Buffer.t;
-  gaddrs : v option array; (* lazily cached global addresses (boxed) *)
-  igaddrs : int array; (* same cache, untagged; -1 = unresolved *)
+  gcache : int array; (* lazily resolved global addresses; -1 = unresolved *)
   mutable sp : int;
   mutable stack_limit : int;
 }
 
-(* --- register-bank representation -------------------------------------
-
-   When every register, argument and operand of a function has a
-   consistent static type (checked per module by [analyze] below), the
-   function's data path is lowered onto two untagged banks instead of
-   a [Value.v array]: an int bank (one [Bytes.t], 8 bytes per slot)
-   holding i1/i8/i32/i64/ptr values, and a float bank (a flat
-   [float array]).  Slot 0 of each bank is the return slot; registers,
-   arguments, phi-move scratch and interned constants follow.  Every
-   int operand collapses to a byte offset into the int bank (negative
-   codes address the per-run global cache), so the specialized op
-   closures below read, compute and write without ever allocating a
-   [Value.v]; boxed values survive only at the [call]/extern/stub
-   boundary.  Modules that fail the bankability check run on the boxed
-   pipeline above, whose observable equivalence with [Reference] is
-   already enforced — rejection is always safe. *)
 and kfunc = {
   k_name : string;
   k_image : Bytes.t; (* int bank template, constants pre-placed *)
@@ -126,19 +89,22 @@ and kfunc = {
   k_akind : int array; (* param index -> 0 (int) / 1 (float) *)
   k_aslot : int array; (* param index -> ib byte offset / fb index *)
   k_ret : kret;
-  k_entry : kedge option;
+  k_entry : kedge option; (* entry-block phi handling (malformed IR) *)
   k_blocks : kblock array;
 }
 
 and kret = KRint | KRfloat | KRnone
 
+(* A block body is a sequence of straight-line segments (batchable)
+   separated by calls (which tick through the normal per-call path and
+   may yield, trap, or recurse). *)
 and kblock = { kitems : kitem array; kterm : kterm }
 and kitem = Kseg of kseg | Kcall of (kframe -> unit)
 
 and kseg = {
   kops : (kframe -> unit) array;
-  kticks : float array;
-  kcounts : int array;
+  kticks : float array; (* every tick of the segment, in reference order *)
+  kcounts : int array; (* ticks per op; trailing ticks belong to no op *)
 }
 
 and kterm =
@@ -152,7 +118,9 @@ and kterm =
 
 (* Parallel phi moves: [kmoves] read every source into its scratch
    slot, then [kwrites] move scratch to destinations.  A single-phi
-   edge skips scratch ([kwrites] empty, the move writes directly). *)
+   edge skips scratch ([kwrites] empty, the move writes directly).
+   [KEtrap] replicates the reference's behaviour on a missing incoming
+   entry: earlier phi sources still evaluate, then the trap. *)
 and kedge =
   | KEok of {
       ktgt : int;
@@ -183,62 +151,6 @@ let emgr_td ec =
   | Tls (mgr, td) -> (mgr, td)
   | Seq _ -> Ops.trap "TLS runtime call in sequential mode"
 
-let take_edge fr e =
-  match e with
-  | Eok { tgt; dsts; srcs } ->
-    let n = Array.length dsts in
-    if n > 0 then begin
-      let tmp = fr.tmp in
-      for i = 0 to n - 1 do
-        Array.unsafe_set tmp i ((Array.unsafe_get srcs i) fr)
-      done;
-      for i = 0 to n - 1 do
-        fr.regs.(Array.unsafe_get dsts i) <- Array.unsafe_get tmp i
-      done
-    end;
-    tgt
-  | Etrap { pre; msg } ->
-    Array.iter (fun s -> ignore (s fr)) pre;
-    raise (Ops.Trap msg)
-
-let run_seg ec fr (s : seg) =
-  let nticks = Array.length s.ticks in
-  let ops = s.ops in
-  let nops = Array.length ops in
-  match ec.mode with
-  | Seq st ->
-    (* no quantum in sequential mode: replay the same additions in the
-       same order, commit once *)
-    let acc = ref st.seq_cost in
-    for i = 0 to nticks - 1 do
-      acc := !acc +. Array.unsafe_get s.ticks i
-    done;
-    st.seq_cost <- !acc;
-    for i = 0 to nops - 1 do
-      (Array.unsafe_get ops i) fr
-    done
-  | Tls (mgr, td) ->
-    if Thread_manager.tick_batch mgr td s.ticks nticks then
-      for i = 0 to nops - 1 do
-        (Array.unsafe_get ops i) fr
-      done
-    else begin
-      (* a flush lands inside this segment: interleave per-op ticks
-         with execution exactly like the reference *)
-      let ti = ref 0 in
-      for i = 0 to nops - 1 do
-        for _ = 1 to Array.unsafe_get s.counts i do
-          Thread_manager.tick mgr td (Array.unsafe_get s.ticks !ti);
-          incr ti
-        done;
-        (Array.unsafe_get ops i) fr
-      done;
-      while !ti < nticks do
-        Thread_manager.tick mgr td (Array.unsafe_get s.ticks !ti);
-        incr ti
-      done
-    end
-
 let rec bsearch (keys : int64 array) edges default x lo hi =
   if lo >= hi then default
   else
@@ -248,83 +160,18 @@ let rec bsearch (keys : int64 array) edges default x lo hi =
     else if c < 0 then bsearch keys edges default x lo mid
     else bsearch keys edges default x (mid + 1) hi
 
-(* --- the execution loop ----------------------------------------------- *)
-
-(* Not self-recursive: recursion happens dynamically through call
-   closures built by [compile_func] below. *)
-let exec_cfunc (ec : ectx) (cf : cfunc) (args : v array) : v option =
-  let fr =
-    { ec;
-      regs = Array.make cf.cf_nregs (VI 0L);
-      args;
-      tmp = Array.make cf.cf_ntmp (VI 0L) }
-  in
-  let sp0 = ec.sp in
-  (match cf.cf_entry with Some e -> ignore (take_edge fr e) | None -> ());
-  let blocks = cf.cf_blocks in
-  let cur = ref 0 in
-  let result = ref None in
-  let running = ref true in
-  while !running do
-    let b = Array.unsafe_get blocks !cur in
-    let items = b.items in
-    for i = 0 to Array.length items - 1 do
-      match Array.unsafe_get items i with
-      | Iseg s -> run_seg ec fr s
-      | Icall f -> f fr
-    done;
-    match b.cterm with
-    | Tbr e -> cur := take_edge fr e
-    | Tcbr (c, e1, e2) ->
-      cur := take_edge fr (if to_bool (c fr) then e1 else e2)
-    | Tswitch (vs, keys, edges, default) ->
-      let x = to_i64 (vs fr) in
-      cur := take_edge fr (bsearch keys edges default x 0 (Array.length keys))
-    | Tret s ->
-      result := (match s with Some f -> Some (f fr) | None -> None);
-      running := false
-    | Tunreachable msg -> raise (Ops.Trap msg)
-  done;
-  ec.sp <- sp0;
-  !result
-
-let find_cfunc prog name =
-  match Hashtbl.find_opt prog.func_ids name with
-  | Some id -> prog.cfuncs.(id)
-  | None -> Ops.trap "call to unknown function @%s" name
-
-(* Body of a freshly speculated thread: a new context on the child's
-   stack slot, executing the stub function. *)
-let run_speculative (parent_ec : ectx) (child : Thread_data.t) stub =
-  let mgr, _ = emgr_td parent_ec in
-  let base, limit = Memory.stack_slot parent_ec.mem child.Thread_data.rank in
-  Local_buffer.set_stack_range child.Thread_data.lbuf ~base ~limit;
-  let ec =
-    { parent_ec with
-      mode = Tls (mgr, child);
-      sp = base;
-      stack_limit = limit }
-  in
-  let cf =
-    match stub with
-    | Sok id -> ec.prog.cfuncs.(id)
-    | Sunknown name -> Ops.trap "call to unknown function @%s" name
-    | Sbadop | Snth -> assert false (* raised in the parent *)
-  in
-  ignore (exec_cfunc ec cf [| of_int child.Thread_data.rank |])
-
 (* --- register-bank runtime helpers ------------------------------------ *)
 
 let kglobal_slow ec gi =
   let a = Memory.symbol ec.mem (Array.unsafe_get ec.prog.gnames gi) in
-  Array.unsafe_set ec.igaddrs gi a;
+  Array.unsafe_set ec.gcache gi a;
   a
 
 (* Resolved address of global id [gi] as an untagged OCaml int (cached
    per run; the first use still goes through [Memory.symbol] so an
    unknown name fails at the same use site as in the reference). *)
 let[@inline] kglobal kf gi =
-  let a = Array.unsafe_get kf.kec.igaddrs gi in
+  let a = Array.unsafe_get kf.kec.gcache gi in
   if a >= 0 then a else kglobal_slow kf.kec gi
 
 (* Int operands are compile-time codes: a non-negative byte offset
@@ -358,14 +205,14 @@ let ktake_edge kf e =
     Array.iter (fun s -> s kf) kpre;
     raise (Ops.Trap kmsg)
 
-(* Identical cost protocol to [run_seg]; only the frame representation
-   differs. *)
 let run_kseg ec kf (s : kseg) =
   let nticks = Array.length s.kticks in
   let ops = s.kops in
   let nops = Array.length ops in
   match ec.mode with
   | Seq st ->
+    (* no quantum in sequential mode: replay the same additions in the
+       same order, commit once *)
     let acc = ref st.seq_cost in
     for i = 0 to nticks - 1 do
       acc := !acc +. Array.unsafe_get s.kticks i
@@ -380,6 +227,8 @@ let run_kseg ec kf (s : kseg) =
         (Array.unsafe_get ops i) kf
       done
     else begin
+      (* a flush lands inside this segment: interleave per-op ticks
+         with execution exactly like the reference *)
       let ti = ref 0 in
       for i = 0 to nops - 1 do
         for _ = 1 to Array.unsafe_get s.kcounts i do
@@ -459,8 +308,9 @@ let exec_kfunc_boxed ec (cf : kfunc) (args : v array) : v option =
   | KRfloat -> Some (VF kf.kfb.(0))
   | KRnone -> None
 
-(* Child fiber body for a banked speculation stub. *)
-let krun_speculative (parent_ec : ectx) (child : Thread_data.t) stub =
+(* Body of a freshly speculated thread: a new context on the child's
+   stack slot, executing the stub function. *)
+let run_speculative (parent_ec : ectx) (child : Thread_data.t) stub =
   let mgr, _ = emgr_td parent_ec in
   let base, limit = Memory.stack_slot parent_ec.mem child.Thread_data.rank in
   Local_buffer.set_stack_range child.Thread_data.lbuf ~base ~limit;
@@ -495,557 +345,39 @@ let global_id st g =
     Hashtbl.add st.st_globals g i;
     i
 
-(* Operand -> slot closure.  Globals resolve through a per-run cache;
-   the first use still goes through [Memory.symbol] so an unknown name
-   fails at the same use site as in the reference. *)
-let slot st (v : Ir.value) : frame -> v =
-  match v with
-  | Ir.Const c ->
-    let k = of_const c in
-    fun _ -> k
-  | Ir.Reg r -> fun fr -> fr.regs.(r)
-  | Ir.Arg i -> fun fr -> fr.args.(i)
-  | Ir.Global g ->
-    let gi = global_id st g in
-    fun fr -> (
-      match Array.unsafe_get fr.ec.gaddrs gi with
-      | Some x -> x
-      | None ->
-        let x = VI (Int64.of_int (Memory.symbol fr.ec.mem g)) in
-        fr.ec.gaddrs.(gi) <- Some x;
-        x)
-  | Ir.Funcref _ -> fun _ -> Ops.trap "function reference in value position"
-
-(* [List.nth] in the reference raises [Failure] at run time on a short
-   operand list; replicate that in the slot. *)
-let nth_slot st operands n : frame -> v =
-  match List.nth_opt operands n with
-  | Some v -> slot st v
-  | None -> fun _ -> raise (Failure "nth")
-
-let int_of v = Int64.to_int (to_i64 v)
-
 (* Evaluate every operand, left to right, like the reference's
-   [List.map eval_v operands].  Polymorphic in the frame so the
-   register-bank engine shares it. *)
+   [List.map eval_v operands]. *)
 let evals slots fr = Array.to_list (Array.map (fun s -> s fr) slots)
-
-(* --- runtime-call lowering -------------------------------------------- *)
-
-(* One closure per call site, mirroring [Reference.exec_runtime_call]:
-   mode check first, then arguments, then the Thread_manager entry.
-   Runtime calls charge their own model costs — no instr tick. *)
-let compile_runtime st fn (operands : Ir.value list) dst : frame -> unit =
-  let s n = nth_slot st operands n in
-  let put fr v = if dst >= 0 then fr.regs.(dst) <- v in
-  match (fn : Ir.runtime_fn) with
-  | Ir.Rt_get_cpu ->
-    let s0 = s 0 and s1 = s 1 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      (* bits 0-1: fork model; bit 2: store-free (expandable) flag *)
-      let mi = int_of (s0 fr) in
-      let model = Config.model_of_int (mi land 3) in
-      put fr
-        (of_int
-           (Thread_manager.get_cpu mgr td ~model ~expandable:(mi land 4 <> 0)
-              ~point:(int_of (s1 fr))))
-  | Ir.Rt_set_fork_reg ->
-    let s0 = s 0 and s1 = s 1 and s2 = s 2 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.set_fork_reg mgr td ~rank:(int_of (s0 fr))
-        ~off:(int_of (s1 fr))
-        (to_runtime (s2 fr))
-  | Ir.Rt_set_fork_addr ->
-    let s0 = s 0 and s1 = s 1 and s2 = s 2 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.set_fork_addr mgr td ~rank:(int_of (s0 fr))
-        ~off:(int_of (s1 fr))
-        (int_of (s2 fr))
-  | Ir.Rt_validate_local ->
-    let s0 = s 0 and s1 = s 1 and s2 = s 2 and s3 = s 3 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.validate_local mgr td ~rank:(int_of (s0 fr))
-        ~point:(int_of (s1 fr)) ~off:(int_of (s2 fr))
-        (to_runtime (s3 fr))
-  | Ir.Rt_speculate ->
-    let s0 = s 0 and s1 = s 1 in
-    let stub =
-      match List.nth_opt operands 2 with
-      | Some (Ir.Funcref f) -> (
-        match Hashtbl.find_opt st.st_func_ids f with
-        | Some id -> Sok id
-        | None -> Sunknown f)
-      | Some _ -> Sbadop
-      | None -> Snth
-    in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      let rank = int_of (s0 fr) and counter = int_of (s1 fr) in
-      (match stub with
-      | Sok _ | Sunknown _ -> ()
-      | Sbadop -> Ops.trap "MUTLS_speculate: expected a function reference"
-      | Snth -> raise (Failure "nth"));
-      Thread_manager.speculate mgr td ~rank ~counter (fun child ->
-          run_speculative fr.ec child stub)
-  | Ir.Rt_entry_counter ->
-    fun fr ->
-      let _, td = emgr_td fr.ec in
-      put fr (of_int td.Thread_data.entry_counter)
-  | Ir.Rt_get_fork_reg ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr (of_runtime (Thread_manager.get_fork_reg mgr td ~off:(int_of (s0 fr))))
-  | Ir.Rt_pick_stackaddr ->
-    let s0 = s 0 and s1 = s 1 and s2 = s 2 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr
-        (of_int
-           (Thread_manager.pick_stackaddr mgr td ~counter:(int_of (s0 fr))
-              ~off:(int_of (s1 fr)) ~own_addr:(int_of (s2 fr))))
-  | Ir.Rt_load size ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr (VI (Thread_manager.spec_load mgr td ~addr:(int_of (s0 fr)) ~size))
-  | Ir.Rt_load_f64 ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr
-        (VF
-           (Int64.float_of_bits
-              (Thread_manager.spec_load mgr td ~addr:(int_of (s0 fr)) ~size:8)))
-  | Ir.Rt_store size ->
-    let s0 = s 0 and s1 = s 1 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.spec_store mgr td ~addr:(int_of (s1 fr)) ~size
-        (to_i64 (s0 fr))
-  | Ir.Rt_store_f64 ->
-    let s0 = s 0 and s1 = s 1 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.spec_store mgr td ~addr:(int_of (s1 fr)) ~size:8
-        (Int64.bits_of_float (to_f64 (s0 fr)))
-  | Ir.Rt_save_regvar ->
-    let s0 = s 0 and s1 = s 1 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.save_regvar mgr td ~off:(int_of (s0 fr)) (to_runtime (s1 fr))
-  | Ir.Rt_save_stackvar ->
-    let s0 = s 0 and s1 = s 1 and s2 = s 2 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.save_stackvar mgr td ~off:(int_of (s0 fr))
-        ~addr:(int_of (s1 fr)) ~size:(int_of (s2 fr))
-  | Ir.Rt_check_point ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr (of_bool (Thread_manager.check_point mgr td ~counter:(int_of (s0 fr))))
-  | Ir.Rt_commit ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.commit mgr td ~counter:(int_of (s0 fr))
-  | Ir.Rt_terminate_point ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.terminate_point mgr td ~counter:(int_of (s0 fr))
-  | Ir.Rt_barrier_point ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.barrier_point mgr td ~counter:(int_of (s0 fr))
-  | Ir.Rt_return_point ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.return_point mgr td ~counter:(int_of (s0 fr))
-  | Ir.Rt_enter_point ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.enter_point mgr td ~counter:(int_of (s0 fr))
-  | Ir.Rt_ptr_int_cast ->
-    let s0 = s 0 and s1 = s 1 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.ptr_int_cast mgr td ~counter:(int_of (s0 fr)) (int_of (s1 fr))
-  | Ir.Rt_synchronize ->
-    let s0 = s 0 and s1 = s 1 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr
-        (of_bool
-           (Thread_manager.synchronize mgr td ~point:(int_of (s0 fr))
-              ~rank:(int_of (s1 fr))))
-  | Ir.Rt_sync_counter ->
-    fun fr ->
-      let _, td = emgr_td fr.ec in
-      put fr (of_int td.Thread_data.last_sync_counter)
-  | Ir.Rt_sync_rank ->
-    fun fr ->
-      let _, td = emgr_td fr.ec in
-      put fr (of_int td.Thread_data.last_sync_rank)
-  | Ir.Rt_sync_entry ->
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr (of_int (Thread_manager.sync_entry mgr td))
-  | Ir.Rt_bad_sync ->
-    let s0 = s 0 in
-    fun fr ->
-      let _, td = emgr_td fr.ec in
-      Ops.trap "synchronization counter %d has no restore target (rank %d)"
-        (int_of (s0 fr)) td.Thread_data.rank
-  | Ir.Rt_restore_regvar is_ptr ->
-    let s0 = s 0 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      put fr
-        (of_runtime
-           (Thread_manager.restore_regvar mgr td ~off:(int_of (s0 fr)) ~is_ptr))
-  | Ir.Rt_restore_stackvar ->
-    let s0 = s 0 and s1 = s 1 and s2 = s 2 in
-    fun fr ->
-      let mgr, td = emgr_td fr.ec in
-      Thread_manager.restore_stackvar mgr td ~off:(int_of (s0 fr))
-        ~addr:(int_of (s1 fr)) ~size:(int_of (s2 fr))
-
-(* --- call lowering (internal / extern / builtin) ---------------------- *)
-
-(* Reference order for an internal call: instr tick, call tick,
-   arguments, callee.  For an extern: instr tick, arguments, call
-   tick, action. *)
-let compile_call st (cost : Config.cost) name (operands : Ir.value list) dst :
-    frame -> unit =
-  let ci = cost.Config.instr and cc = cost.Config.call in
-  let slots = Array.of_list (List.map (slot st) operands) in
-  match Hashtbl.find_opt st.st_func_ids name with
-  | Some callee_id ->
-    fun fr ->
-      let ec = fr.ec in
-      etick ec ci;
-      etick ec cc;
-      let n = Array.length slots in
-      let args = Array.make n (VI 0L) in
-      for k = 0 to n - 1 do
-        Array.unsafe_set args k ((Array.unsafe_get slots k) fr)
-      done;
-      (match exec_cfunc ec (Array.unsafe_get ec.prog.cfuncs callee_id) args with
-      | Some v -> if dst >= 0 then fr.regs.(dst) <- v
-      | None -> ())
-  | None -> (
-    match name with
-    | "print_int" ->
-      fun fr ->
-        let ec = fr.ec in
-        etick ec ci;
-        let args = evals slots fr in
-        etick ec cc;
-        Buffer.add_string ec.out (Int64.to_string (to_i64 (List.hd args)))
-    | "print_float" ->
-      fun fr ->
-        let ec = fr.ec in
-        etick ec ci;
-        let args = evals slots fr in
-        etick ec cc;
-        Buffer.add_string ec.out (Printf.sprintf "%.6g" (to_f64 (List.hd args)))
-    | "print_char" ->
-      fun fr ->
-        let ec = fr.ec in
-        etick ec ci;
-        let args = evals slots fr in
-        etick ec cc;
-        Buffer.add_char ec.out
-          (Char.chr (Int64.to_int (to_i64 (List.hd args)) land 0xff))
-    | "print_newline" ->
-      fun fr ->
-        let ec = fr.ec in
-        etick ec ci;
-        let args = evals slots fr in
-        etick ec cc;
-        ignore args;
-        Buffer.add_char ec.out '\n'
-    | "malloc" ->
-      fun fr ->
-        let ec = fr.ec in
-        etick ec ci;
-        let args = evals slots fr in
-        etick ec cc;
-        let size = Int64.to_int (to_i64 (List.hd args)) in
-        let addr = Memory.malloc ec.mem size in
-        (match ec.mode with
-        | Tls (mgr, _) ->
-          Thread_manager.register_range mgr addr (Memory.align8 (max 8 size))
-        | Seq _ -> ());
-        if dst >= 0 then fr.regs.(dst) <- VI (Int64.of_int addr)
-    | "free" ->
-      fun fr ->
-        let ec = fr.ec in
-        etick ec ci;
-        let args = evals slots fr in
-        etick ec cc;
-        let addr = to_addr (List.hd args) in
-        (match Memory.free ec.mem addr with
-        | Some size -> (
-          match ec.mode with
-          | Tls (mgr, _) -> Thread_manager.unregister_range mgr addr size
-          | Seq _ -> ())
-        | None -> ())
-    | _ -> (
-      match Externs.lookup name with
-      | Some f ->
-        fun fr ->
-          let ec = fr.ec in
-          etick ec ci;
-          let args = evals slots fr in
-          etick ec cc;
-          (match f args with
-          | Some (Externs.Ret v) -> if dst >= 0 then fr.regs.(dst) <- v
-          | Some Externs.Ret_void -> ()
-          | None -> Ops.trap "call to unknown extern @%s" name)
-      | None ->
-        fun fr ->
-          let ec = fr.ec in
-          etick ec ci;
-          let args = evals slots fr in
-          etick ec cc;
-          ignore args;
-          Ops.trap "call to unknown extern @%s" name))
-
-(* --- instruction lowering --------------------------------------------- *)
-
-let compile_op st fname (i : Ir.instr) : frame -> unit =
-  let d = i.Ir.id in
-  match i.Ir.kind with
-  | Ir.Binop (op, ty, a, b) ->
-    let f = Ops.binop_fn op ty and sa = slot st a and sb = slot st b in
-    fun fr -> fr.regs.(d) <- f (sa fr) (sb fr)
-  | Ir.Icmp (op, ty, a, b) ->
-    let f = Ops.icmp_fn op ty and sa = slot st a and sb = slot st b in
-    fun fr -> fr.regs.(d) <- f (sa fr) (sb fr)
-  | Ir.Fcmp (op, a, b) ->
-    let f = Ops.fcmp_fn op and sa = slot st a and sb = slot st b in
-    fun fr -> fr.regs.(d) <- f (sa fr) (sb fr)
-  | Ir.Alloca size ->
-    let asize = Memory.align8 size in
-    fun fr ->
-      let ec = fr.ec in
-      let addr = Memory.align8 ec.sp in
-      if addr + size > ec.stack_limit then Ops.trap "stack overflow in @%s" fname;
-      ec.sp <- addr + asize;
-      fr.regs.(d) <- VI (Int64.of_int addr)
-  | Ir.Load (ty, a) -> (
-    let sa = slot st a in
-    match ty with
-    | Ir.I64 | Ir.Ptr ->
-      fun fr -> fr.regs.(d) <- VI (Memory.read_i64 fr.ec.mem (to_addr (sa fr)))
-    | Ir.F64 ->
-      fun fr -> fr.regs.(d) <- VF (Memory.read_f64 fr.ec.mem (to_addr (sa fr)))
-    | Ir.I32 ->
-      fun fr -> fr.regs.(d) <- VI (Memory.read_i32 fr.ec.mem (to_addr (sa fr)))
-    | Ir.I8 | Ir.I1 ->
-      fun fr -> fr.regs.(d) <- VI (Memory.read_i8 fr.ec.mem (to_addr (sa fr)))
-    | Ir.Void -> fun _ -> Ops.trap "load void")
-  | Ir.Store (ty, v, a) -> (
-    (* the stored value evaluates before the address, as in the
-       reference's right-to-left argument evaluation *)
-    let sv = slot st v and sa = slot st a in
-    match ty with
-    | Ir.I64 | Ir.Ptr ->
-      fun fr ->
-        let x = to_i64 (sv fr) in
-        Memory.write_i64 fr.ec.mem (to_addr (sa fr)) x
-    | Ir.F64 ->
-      fun fr ->
-        let x = to_f64 (sv fr) in
-        Memory.write_f64 fr.ec.mem (to_addr (sa fr)) x
-    | Ir.I32 ->
-      fun fr ->
-        let x = to_i64 (sv fr) in
-        Memory.write_i32 fr.ec.mem (to_addr (sa fr)) x
-    | Ir.I8 | Ir.I1 ->
-      fun fr ->
-        let x = to_i64 (sv fr) in
-        Memory.write_i8 fr.ec.mem (to_addr (sa fr)) x
-    | Ir.Void -> fun _ -> Ops.trap "store void")
-  | Ir.Ptradd (a, o) ->
-    let sa = slot st a and so = slot st o in
-    fun fr -> fr.regs.(d) <- VI (Int64.add (to_i64 (sa fr)) (to_i64 (so fr)))
-  | Ir.Select (c, a, b) ->
-    let sc = slot st c and sa = slot st a and sb = slot st b in
-    fun fr -> fr.regs.(d) <- (if to_bool (sc fr) then sa fr else sb fr)
-  | Ir.Cast (c, t1, t2, v) ->
-    let f = Ops.cast_fn c t1 t2 and sv = slot st v in
-    fun fr -> fr.regs.(d) <- f (sv fr)
-  | Ir.Call _ -> assert false (* handled by the block compiler *)
-
-(* --- function lowering ------------------------------------------------ *)
-
-let compile_func st (cost : Config.cost) (f : Ir.func) : cfunc =
-  let barr = Ir.block_array f in
-  let bidx = Ir.block_index_map f in
-  let ntmp = ref 0 in
-  let compile_edge_to pred_name ti =
-    let tb = barr.(ti) in
-    match tb.Ir.phis with
-    | [] -> Eok { tgt = ti; dsts = [||]; srcs = [||] }
-    | phis ->
-      let rec build dsts srcs = function
-        | [] ->
-          let srcs = Array.of_list (List.rev srcs) in
-          ntmp := max !ntmp (Array.length srcs);
-          Eok { tgt = ti; dsts = Array.of_list (List.rev dsts); srcs }
-        | (p : Ir.phi) :: rest -> (
-          match List.assoc_opt pred_name p.Ir.incoming with
-          | Some v -> build (p.Ir.pid :: dsts) (slot st v :: srcs) rest
-          | None ->
-            Etrap
-              { pre = Array.of_list (List.rev srcs);
-                msg =
-                  Printf.sprintf "phi in %s has no incoming for %s" tb.Ir.bname
-                    pred_name })
-      in
-      build [] [] phis
-  in
-  let compile_edge pred_name tname =
-    match Hashtbl.find_opt bidx tname with
-    | Some ti -> compile_edge_to pred_name ti
-    | None ->
-      Etrap
-        { pre = [||];
-          msg = Printf.sprintf "unknown block %s in @%s" tname f.Ir.fname }
-  in
-  let compile_block (b : Ir.block) : cblock =
-    let items_rev = ref [] in
-    let ops_rev = ref [] and nops = ref 0 in
-    let ticks_rev = ref [] and nticks = ref 0 in
-    let counts_rev = ref [] in
-    let push_tick c =
-      ticks_rev := c :: !ticks_rev;
-      incr nticks
-    in
-    let add_op op ticks =
-      List.iter push_tick ticks;
-      ops_rev := op :: !ops_rev;
-      incr nops;
-      counts_rev := List.length ticks :: !counts_rev
-    in
-    let flush_seg () =
-      if !nops > 0 || !nticks > 0 then begin
-        items_rev :=
-          Iseg
-            { ops = Array.of_list (List.rev !ops_rev);
-              ticks = Array.of_list (List.rev !ticks_rev);
-              counts = Array.of_list (List.rev !counts_rev) }
-          :: !items_rev;
-        ops_rev := [];
-        nops := 0;
-        ticks_rev := [];
-        nticks := 0;
-        counts_rev := []
-      end
-    in
-    List.iter
-      (fun (i : Ir.instr) ->
-        match i.Ir.kind with
-        | Ir.Call (name, operands) -> (
-          match Ir.classify_callee name with
-          | Ir.Runtime fn ->
-            flush_seg ();
-            let dst = if i.Ir.ity <> Ir.Void then i.Ir.id else -1 in
-            items_rev := Icall (compile_runtime st fn operands dst) :: !items_rev
-          | Ir.Runtime_unknown ->
-            flush_seg ();
-            items_rev :=
-              Icall
-                (fun fr ->
-                  let _ = emgr_td fr.ec in
-                  Ops.trap "unknown runtime call @%s" name)
-              :: !items_rev
-          | Ir.Intrinsic ->
-            (* sequential no-op, but it costs one instr tick *)
-            add_op (fun _ -> ()) [ cost.Config.instr ]
-          | Ir.Other ->
-            flush_seg ();
-            let dst = if i.Ir.ity <> Ir.Void then i.Ir.id else -1 in
-            items_rev :=
-              Icall (compile_call st cost name operands dst) :: !items_rev)
-        | Ir.Load _ | Ir.Store _ ->
-          add_op (compile_op st f.Ir.fname i)
-            [ cost.Config.instr; cost.Config.mem ]
-        | _ -> add_op (compile_op st f.Ir.fname i) [ cost.Config.instr ])
-      b.Ir.insts;
-    (* the terminator's tick is the segment's trailing tick *)
-    push_tick cost.Config.instr;
-    flush_seg ();
-    let cterm =
-      match b.Ir.term with
-      | Ir.Ret v -> Tret (Option.map (slot st) v)
-      | Ir.Br l -> Tbr (compile_edge b.Ir.bname l)
-      | Ir.Cbr (c, l1, l2) ->
-        Tcbr (slot st c, compile_edge b.Ir.bname l1, compile_edge b.Ir.bname l2)
-      | Ir.Switch (v, d, cases) ->
-        (* first-match semantics of [List.assoc_opt]: deduplicate
-           keeping the first binding, then sort for binary search *)
-        let seen = Hashtbl.create 16 in
-        let uniq =
-          List.filter
-            (fun (k, _) ->
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.add seen k ();
-                true
-              end)
-            cases
-        in
-        let arr = Array.of_list uniq in
-        Array.sort (fun (a, _) (b, _) -> Int64.compare a b) arr;
-        Tswitch
-          ( slot st v,
-            Array.map fst arr,
-            Array.map (fun (_, l) -> compile_edge b.Ir.bname l) arr,
-            compile_edge b.Ir.bname d )
-      | Ir.Unreachable ->
-        Tunreachable
-          (Printf.sprintf "unreachable executed in @%s/%s" f.Ir.fname b.Ir.bname)
-    in
-    { items = Array.of_list (List.rev !items_rev); cterm }
-  in
-  let cf_blocks = Array.map compile_block barr in
-  (* the reference runs the entry block's phis against the empty
-     predecessor label; only malformed IR has entry phis *)
-  let cf_entry =
-    if Array.length barr > 0 && barr.(0).Ir.phis <> [] then
-      Some (compile_edge_to "" 0)
-    else None
-  in
-  { cf_name = f.Ir.fname;
-    cf_nregs = max 1 f.Ir.next_reg;
-    cf_ntmp = !ntmp;
-    cf_entry;
-    cf_blocks }
 
 (* --- bankability analysis --------------------------------------------- *)
 
-(* The register-bank engine only runs modules where every register,
-   argument and operand has a statically unambiguous bank.  Anything
-   unusual — [Void]-typed value instructions, bank conflicts, funcref
-   operands outside [Rt_speculate], arity mismatches on internal
-   calls, mixed return shapes — rejects the whole module and execution
-   stays on the boxed pipeline above, whose observable equivalence
-   with [Reference] is what the test suite pins down.  Rejection is
-   therefore always safe; the analysis errs on the side of it. *)
+(* The engine only runs modules where every register, argument and
+   operand has a statically unambiguous bank.  Anything unusual —
+   [Void]-typed value instructions, bank conflicts, funcref operands
+   outside [Rt_speculate], arity mismatches on internal calls, mixed
+   return shapes — rejects the whole module: [compile] keeps the
+   reason and [call] traps with it.  Such IR fails
+   [Verify.check_module] or violates its typing in ways the verifier
+   does not check, so no front end produces it. *)
 
-exception Not_bankable
+exception Not_bankable of string * string (* function, construct *)
+
+(* Where the analysis is looking, rendered only on rejection. *)
+type site =
+  | At_params
+  | At_phi of Ir.phi
+  | At_instr of Ir.instr
+  | At_term of Ir.terminator
+
+let reject (f : Ir.func) site =
+  let what =
+    match site with
+    | At_params -> "the parameter list"
+    | At_phi p -> Printer.phi_to_string p
+    | At_instr i -> Printer.instr_to_string i
+    | At_term t -> Printer.term_to_string t
+  in
+  raise (Not_bankable (f.Ir.fname, what))
 
 type kbank = KI | KF
 
@@ -1055,22 +387,24 @@ type kfinfo = {
   fi_ret : kret;  (* uniform across every [Ret] in the function *)
 }
 
+(* Lowering only asks for the bank of types [analyze] accepted. *)
 let bank_of_ty (t : Ir.ty) : kbank =
-  match t with Ir.F64 -> KF | Ir.Void -> raise Not_bankable | _ -> KI
+  match t with Ir.F64 -> KF | Ir.Void -> assert false | _ -> KI
 
 (* Pass 1: assign a bank to every register from its defining
    instruction/phi type, and derive the function's return shape. *)
 let analyze_banks (f : Ir.func) : kfinfo =
+  let here = ref At_params in
+  let rej () = reject f !here in
+  let bank (t : Ir.ty) = if t = Ir.Void then rej () else bank_of_ty t in
   let nregs = f.Ir.next_reg in
   let rb = Array.make (max 1 nregs) KI in
   let assigned = Array.make (max 1 nregs) false in
-  let parbank =
-    Array.of_list (List.map (fun (_, t) -> bank_of_ty t) f.Ir.params)
-  in
+  let parbank = Array.of_list (List.map (fun (_, t) -> bank t) f.Ir.params) in
   let def r b =
-    if r < 0 || r >= nregs then raise Not_bankable;
+    if r < 0 || r >= nregs then rej ();
     if assigned.(r) then begin
-      if rb.(r) <> b then raise Not_bankable
+      if rb.(r) <> b then rej ()
     end
     else begin
       assigned.(r) <- true;
@@ -1079,14 +413,18 @@ let analyze_banks (f : Ir.func) : kfinfo =
   in
   List.iter
     (fun (b : Ir.block) ->
-      List.iter (fun (p : Ir.phi) -> def p.Ir.pid (bank_of_ty p.Ir.pty)) b.Ir.phis;
+      List.iter
+        (fun (p : Ir.phi) ->
+          here := At_phi p;
+          def p.Ir.pid (bank p.Ir.pty))
+        b.Ir.phis;
       List.iter
         (fun (i : Ir.instr) ->
+          here := At_instr i;
           match i.Ir.kind with
           | Ir.Store _ -> ()
-          | Ir.Call _ ->
-            if i.Ir.ity <> Ir.Void then def i.Ir.id (bank_of_ty i.Ir.ity)
-          | _ -> def i.Ir.id (bank_of_ty i.Ir.ity))
+          | Ir.Call _ -> if i.Ir.ity <> Ir.Void then def i.Ir.id (bank i.Ir.ity)
+          | _ -> def i.Ir.id (bank i.Ir.ity))
         b.Ir.insts)
     f.Ir.blocks;
   (* a register read before any definition keeps the bank's zero, like
@@ -1095,25 +433,23 @@ let analyze_banks (f : Ir.func) : kfinfo =
     match v with
     | Ir.Const (Ir.Cfloat _) -> KF
     | Ir.Const _ -> KI
-    | Ir.Reg r -> if r < 0 || r >= nregs then raise Not_bankable else rb.(r)
-    | Ir.Arg i ->
-      if i < 0 || i >= Array.length parbank then raise Not_bankable
-      else parbank.(i)
+    | Ir.Reg r -> if r < 0 || r >= nregs then rej () else rb.(r)
+    | Ir.Arg i -> if i < 0 || i >= Array.length parbank then rej () else parbank.(i)
     | Ir.Global _ -> KI
-    | Ir.Funcref _ -> raise Not_bankable
+    | Ir.Funcref _ -> rej ()
   in
   let ret = ref None in
   let meet shape =
     match !ret with
     | None -> ret := Some shape
-    | Some s -> if s <> shape then raise Not_bankable
+    | Some s -> if s <> shape then rej ()
   in
   List.iter
     (fun (b : Ir.block) ->
+      here := At_term b.Ir.term;
       match b.Ir.term with
       | Ir.Ret None -> meet KRnone
-      | Ir.Ret (Some v) ->
-        meet (match opbank v with KI -> KRint | KF -> KRfloat)
+      | Ir.Ret (Some v) -> meet (match opbank v with KI -> KRint | KF -> KRfloat)
       | _ -> ())
     f.Ir.blocks;
   { fi_regbank = rb;
@@ -1123,21 +459,23 @@ let analyze_banks (f : Ir.func) : kfinfo =
 (* Pass 2: check every operand position against its required bank. *)
 let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
     unit =
+  let here = ref At_params in
+  let rej () = reject f !here in
   let nregs = f.Ir.next_reg in
   let opbank (v : Ir.value) : kbank =
     match v with
     | Ir.Const (Ir.Cfloat _) -> KF
     | Ir.Const _ -> KI
-    | Ir.Reg r ->
-      if r < 0 || r >= nregs then raise Not_bankable else fi.fi_regbank.(r)
+    | Ir.Reg r -> if r < 0 || r >= nregs then rej () else fi.fi_regbank.(r)
     | Ir.Arg i ->
-      if i < 0 || i >= Array.length fi.fi_parbank then raise Not_bankable
+      if i < 0 || i >= Array.length fi.fi_parbank then rej ()
       else fi.fi_parbank.(i)
     | Ir.Global _ -> KI
-    | Ir.Funcref _ -> raise Not_bankable
+    | Ir.Funcref _ -> rej ()
   in
-  let want b v = if opbank v <> b then raise Not_bankable in
+  let want b v = if opbank v <> b then rej () in
   let dbank (i : Ir.instr) = bank_of_ty i.Ir.ity in
+  let dst b (i : Ir.instr) = if dbank i <> b then rej () in
   let ck operands n b =
     match List.nth_opt operands n with Some v -> want b v | None -> ()
   in
@@ -1147,12 +485,8 @@ let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
     | None -> ()
   in
   let check_runtime (i : Ir.instr) fn operands =
-    let dst_i () =
-      if i.Ir.ity <> Ir.Void && dbank i <> KI then raise Not_bankable
-    in
-    let dst_f () =
-      if i.Ir.ity <> Ir.Void && dbank i <> KF then raise Not_bankable
-    in
+    let dst_i () = if i.Ir.ity <> Ir.Void then dst KI i in
+    let dst_f () = if i.Ir.ity <> Ir.Void then dst KF i in
     match (fn : Ir.runtime_fn) with
     | Ir.Rt_get_cpu ->
       ck operands 0 KI;
@@ -1172,8 +506,8 @@ let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
       ck operands 2 KI;
       ck_any operands 3
     | Ir.Rt_speculate ->
-      (* operand 2 is the funcref, resolved at lowering like the boxed
-         engine; a non-funcref traps at run time *)
+      (* operand 2 is the funcref, resolved at lowering; a non-funcref
+         traps at run time *)
       ck operands 0 KI;
       ck operands 1 KI
     | Ir.Rt_entry_counter | Ir.Rt_sync_counter | Ir.Rt_sync_rank
@@ -1217,26 +551,26 @@ let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
       | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv ->
         want KF a;
         want KF b;
-        if dbank i <> KF then raise Not_bankable
+        dst KF i
       | _ ->
         want KI a;
         want KI b;
-        if dbank i <> KI then raise Not_bankable)
+        dst KI i)
     | Ir.Icmp (_, _, a, b) ->
       want KI a;
       want KI b;
-      if dbank i <> KI then raise Not_bankable
+      dst KI i
     | Ir.Fcmp (_, a, b) ->
       want KF a;
       want KF b;
-      if dbank i <> KI then raise Not_bankable
-    | Ir.Alloca _ -> if dbank i <> KI then raise Not_bankable
+      dst KI i
+    | Ir.Alloca _ -> dst KI i
     | Ir.Load (ty, a) -> (
       match ty with
       | Ir.Void -> () (* compiles to a trap closure, operand unused *)
       | _ ->
         want KI a;
-        if dbank i <> bank_of_ty ty then raise Not_bankable)
+        dst (bank_of_ty ty) i)
     | Ir.Store (ty, v, a) -> (
       match ty with
       | Ir.Void -> () (* trap closure, operands unused *)
@@ -1249,33 +583,32 @@ let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
     | Ir.Ptradd (a, o) ->
       want KI a;
       want KI o;
-      if dbank i <> KI then raise Not_bankable
+      dst KI i
     | Ir.Select (c, a, b) ->
       let db = dbank i in
       want KI c;
       want db a;
       want db b
     | Ir.Cast (c, t1, t2, v) -> (
-      let db = dbank i in
       match c with
       | Ir.Trunc | Ir.Zext | Ir.Sext | Ir.Ptrtoint | Ir.Inttoptr ->
         want KI v;
-        if db <> KI then raise Not_bankable
+        dst KI i
       | Ir.Fptosi ->
         want KF v;
-        if db <> KI then raise Not_bankable
+        dst KI i
       | Ir.Sitofp ->
         want KI v;
-        if db <> KF then raise Not_bankable
+        dst KF i
       | Ir.Bitcast -> (
         match (t1, t2) with
         | Ir.F64, _ ->
           want KF v;
-          if db <> KI then raise Not_bankable
+          dst KI i
         | _, Ir.F64 ->
           want KI v;
-          if db <> KF then raise Not_bankable
-        | _, _ -> want db v))
+          dst KF i
+        | _, _ -> want (dbank i) v))
     | Ir.Call (name, operands) -> (
       match Ir.classify_callee name with
       | Ir.Runtime fn -> check_runtime i fn operands
@@ -1284,14 +617,13 @@ let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
       | Ir.Other -> (
         match Hashtbl.find_opt ftab name with
         | Some ci ->
-          if List.length operands <> Array.length ci.fi_parbank then
-            raise Not_bankable;
+          if List.length operands <> Array.length ci.fi_parbank then rej ();
           List.iteri (fun k v -> want ci.fi_parbank.(k) v) operands;
           if i.Ir.ity <> Ir.Void then (
             match ci.fi_ret with
-            | KRnone -> () (* destination stays unwritten, like boxed *)
-            | KRint -> if dbank i <> KI then raise Not_bankable
-            | KRfloat -> if dbank i <> KF then raise Not_bankable)
+            | KRnone -> () (* destination stays unwritten, like the reference *)
+            | KRint -> dst KI i
+            | KRfloat -> dst KF i)
         | None ->
           (* extern/builtin: operands evaluate boxed; any bank works,
              but [opbank] still rejects funcrefs and bad registers.
@@ -1302,29 +634,34 @@ let check_func (ftab : (string, kfinfo) Hashtbl.t) (f : Ir.func) (fi : kfinfo) :
     (fun (b : Ir.block) ->
       List.iter
         (fun (p : Ir.phi) ->
+          here := At_phi p;
           let pb = bank_of_ty p.Ir.pty in
           List.iter (fun (_, v) -> want pb v) p.Ir.incoming)
         b.Ir.phis;
-      List.iter check_instr b.Ir.insts;
+      List.iter
+        (fun i ->
+          here := At_instr i;
+          check_instr i)
+        b.Ir.insts;
+      here := At_term b.Ir.term;
       match b.Ir.term with
       | Ir.Cbr (c, _, _) -> want KI c
       | Ir.Switch (v, _, _) -> want KI v
       | _ -> () (* [Ret] shapes were met in pass 1 *))
     f.Ir.blocks
 
-let analyze (modul : Ir.modul) : kfinfo array option =
-  match
-    let infos = List.map analyze_banks modul.Ir.funcs in
-    let ftab = Hashtbl.create 32 in
-    (* last binding wins, like [st_func_ids] *)
-    List.iter2
-      (fun (f : Ir.func) fi -> Hashtbl.replace ftab f.Ir.fname fi)
-      modul.Ir.funcs infos;
-    List.iter2 (check_func ftab) modul.Ir.funcs infos;
-    Array.of_list infos
-  with
-  | infos -> Some infos
-  | exception Not_bankable -> None
+(* Every function's bank assignment, or the first construct that has
+   none.  All or nothing per module: internal calls marshal arguments
+   straight into the callee's banks. *)
+let analyze (modul : Ir.modul) : kfinfo array =
+  let infos = List.map analyze_banks modul.Ir.funcs in
+  let ftab = Hashtbl.create 32 in
+  (* last binding wins, like [st_func_ids] *)
+  List.iter2
+    (fun (f : Ir.func) fi -> Hashtbl.replace ftab f.Ir.fname fi)
+    modul.Ir.funcs infos;
+  List.iter2 (check_func ftab) modul.Ir.funcs infos;
+  Array.of_list infos
 
 (* --- register-bank layout --------------------------------------------- *)
 
@@ -1520,6 +857,10 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
       | KI -> (0, kl.kl_ireg.(i.Ir.id))
       | KF -> (1, kl.kl_freg.(i.Ir.id))
   in
+  (* One closure per runtime call site, mirroring
+     [Reference.exec_runtime_call]: mode check first, then arguments,
+     then the Thread_manager entry.  Runtime calls charge their own
+     model costs — no instr tick. *)
   let compile_kruntime fn (operands : Ir.value list) (i : Ir.instr) :
       kframe -> unit =
     let dk, ds = kdst i in
@@ -1527,8 +868,8 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
     let put_b kf b = if dk >= 0 then iset kf ds (if b then 1L else 0L) in
     (* transfer value coerced into the statically chosen bank; a kind
        mismatch trips the same [Invalid_argument] as [to_i64]/[to_f64]
-       would in the boxed engine, eagerly at the write instead of at
-       the first use (only ill-typed IR can tell the difference) *)
+       would in the reference, eagerly at the write instead of at the
+       first use (only ill-typed IR can tell the difference) *)
     let put_rt kf (r : Local_buffer.v) =
       if dk >= 0 then
         match r with
@@ -1542,6 +883,7 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
       let g0 = kint operands 0 and g1 = kint operands 1 in
       fun kf ->
         let mgr, td = emgr_td kf.kec in
+        (* bits 0-1: fork model; bit 2: store-free (expandable) flag *)
         let mi = g0 kf in
         let model = Config.model_of_int (mi land 3) in
         put_i kf
@@ -1589,7 +931,7 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
         | Sbadop -> Ops.trap "MUTLS_speculate: expected a function reference"
         | Snth -> raise (Failure "nth"));
         Thread_manager.speculate mgr td ~rank ~counter (fun child ->
-            krun_speculative kf.kec child stub)
+            run_speculative kf.kec child stub)
     | Ir.Rt_entry_counter ->
       fun kf ->
         let _, td = emgr_td kf.kec in
@@ -1736,6 +1078,9 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
         Thread_manager.restore_stackvar mgr td ~off:(g0 kf) ~addr:(g1 kf)
           ~size:(g2 kf)
   in
+  (* Reference order for an internal call: instr tick, call tick,
+     arguments, callee.  For an extern: instr tick, arguments, call
+     tick, action. *)
   let compile_kcall name (operands : Ir.value list) (i : Ir.instr) :
       kframe -> unit =
     let ci = cost.Config.instr and cc = cost.Config.call in
@@ -1782,8 +1127,8 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
         | KRfloat -> if dk >= 0 then fset kf ds cfr.kfb.(0)
         | KRnone -> ())
     | None ->
-      (* externs and builtins evaluate boxed, as in the boxed engine;
-         the result is coerced into the destination bank (eager trap
+      (* externs and builtins take boxed arguments, as in the
+         reference; the result is coerced into the destination bank (eager trap
          on a kind mismatch — see the boundary note above) *)
       let slots = Array.of_list (List.map kslot operands) in
       let put_v kf (x : v) =
@@ -1888,7 +1233,7 @@ let compile_kfunc st (cost : Config.cost) (layouts : klayout array)
         (* one body per opcode, parameterized on the truncation mask
            and sign-extension shift; semantics are [Ops.binop_i]'s,
            inlined so the int64s stay unboxed.  The second operand
-           evaluates first, like the boxed engine's right-to-left
+           evaluates first, like the reference's right-to-left
            application. *)
         let d = kl.kl_ireg.(i.Ir.id) and ca = icode a and cb = icode b in
         let m = Ops.mask_of ty and s = Ops.sshift_of ty in
@@ -2320,26 +1665,28 @@ let compile ?(cost = Config.default_cost) (modul : Ir.modul) : prog =
   List.iteri
     (fun i (f : Ir.func) -> Hashtbl.replace st.st_func_ids f.Ir.fname i)
     modul.Ir.funcs;
-  let cfuncs =
-    Array.of_list (List.map (compile_func st cost) modul.Ir.funcs)
-  in
-  (* the banked lowering interns globals through the same [st], so it
-     must run before global names are materialized *)
-  let kfuncs =
+  (* lowering interns globals through [st], so it must run before
+     global names are materialized *)
+  let kfuncs, rejected =
     match analyze modul with
-    | None -> [||]
-    | Some infos ->
+    | infos ->
       let funcs = Array.of_list modul.Ir.funcs in
       let layouts = Array.map2 layout_of funcs infos in
-      Array.init (Array.length funcs) (fun i ->
-          compile_kfunc st cost layouts funcs.(i) infos.(i) layouts.(i))
+      ( Array.init (Array.length funcs) (fun i ->
+            compile_kfunc st cost layouts funcs.(i) infos.(i) layouts.(i)),
+        None )
+    | exception Not_bankable (fname, what) ->
+      ( [||],
+        Some
+          (Printf.sprintf "cannot lower @%s onto register banks: %s" fname
+             what) )
   in
   let gnames = Array.make (max 1 st.st_nglobals) "" in
   Hashtbl.iter (fun g i -> gnames.(i) <- g) st.st_globals;
   { modul;
     cost;
-    cfuncs;
     kfuncs;
+    rejected;
     func_ids = st.st_func_ids;
     nglobals = st.st_nglobals;
     gnames }
@@ -2355,15 +1702,15 @@ let make_ectx prog ~mem ~mode ~out ~sp ~stack_limit =
     mem;
     mode;
     out;
-    gaddrs = Array.make (max 1 prog.nglobals) None;
-    igaddrs = Array.make (max 1 prog.nglobals) (-1);
+    gcache = Array.make (max 1 prog.nglobals) (-1);
     sp;
     stack_limit }
 
 let call ec name (args : v array) =
   let prog = ec.prog in
-  if Array.length prog.kfuncs > 0 then
+  match prog.rejected with
+  | Some msg -> raise (Ops.Trap msg)
+  | None -> (
     match Hashtbl.find_opt prog.func_ids name with
     | Some id -> exec_kfunc_boxed ec prog.kfuncs.(id) args
-    | None -> Ops.trap "call to unknown function @%s" name
-  else exec_cfunc ec (find_cfunc prog name) args
+    | None -> Ops.trap "call to unknown function @%s" name)

@@ -1,8 +1,9 @@
 (** The compiled MIR execution engine: prepare once, run many.
 
-    [compile] lowers a module into dense arrays — blocks indexed by
-    int, operands pre-resolved into slot closures, phi nodes lowered
-    to per-predecessor-edge parallel moves, switches to sorted arrays
+    [compile] lowers each function once into dense arrays — blocks
+    indexed by int, registers, arguments and constants placed on two
+    untagged register banks (int and float), phi nodes lowered to
+    per-predecessor-edge parallel moves, switches to sorted arrays
     with binary search, and callees (including the interned MUTLS_*
     runtime calls) classified once at compile time.  Per-op cost ticks
     are pre-materialized per straight-line segment and committed in
@@ -14,7 +15,11 @@
     Errors raise {!Ops.Trap}, with the same messages and at the same
     execution points as the reference interpreter ({!Reference}):
     malformed constructs compile to closures that trap when executed,
-    never at compile time. *)
+    never at compile time.  The one exception is a module whose
+    registers and operands have no consistent static bank (IR that
+    fails {!Mutls_mir.Verify.check_module}, or hand-built IR): it
+    compiles, but {!call} on it traps with a message naming the
+    function and the construct. *)
 
 (** {1 Compiled programs} *)
 
@@ -52,4 +57,5 @@ val make_ectx :
   ectx
 
 val call : ectx -> string -> Value.v array -> Value.v option
-(** Execute a function by name (raises {!Ops.Trap} when unknown). *)
+(** Execute a function by name.  Raises {!Ops.Trap} when the name is
+    unknown or the module could not be lowered onto register banks. *)

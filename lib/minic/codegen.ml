@@ -53,25 +53,31 @@ let fresh_label env stem =
   env.label_counter <- n + 1;
   Printf.sprintf "%s.%d" stem n
 
+(* While a function body is generated, its block list and every
+   block's instruction list are kept newest-first, so appending is O(1);
+   [finish_func] restores program order once the body is done. *)
 let add_block env stem =
   let b =
     { I.bname = fresh_label env stem; phis = []; insts = []; term = I.Unreachable }
   in
-  env.f.I.blocks <- env.f.I.blocks @ [ b ];
+  env.f.I.blocks <- b :: env.f.I.blocks;
   b
 
 let emit env ity kind =
   let id = if ity = I.Void then -1 else I.fresh_reg env.f ity in
-  env.cur.I.insts <- env.cur.I.insts @ [ { I.id; ity; kind } ];
+  env.cur.I.insts <- { I.id; ity; kind } :: env.cur.I.insts;
   if ity = I.Void then I.i64 0 else I.Reg id
 
 let set_term env t = env.cur.I.term <- t
 
 let alloca_in_entry env size =
   let id = I.fresh_reg env.f I.Ptr in
-  env.entry.I.insts <-
-    env.entry.I.insts @ [ { I.id; ity = I.Ptr; kind = I.Alloca size } ];
+  env.entry.I.insts <- { I.id; ity = I.Ptr; kind = I.Alloca size } :: env.entry.I.insts;
   id
+
+let finish_func (f : I.func) =
+  f.I.blocks <- List.rev f.I.blocks;
+  List.iter (fun (b : I.block) -> b.I.insts <- List.rev b.I.insts) f.I.blocks
 
 (* --- conversions ------------------------------------------------------ *)
 
@@ -498,11 +504,13 @@ and gen_stmts env stmts = List.iter (gen_stmt env) stmts
    mem2reg's renaming only visits the dominator tree from the entry, so
    unreachable loads would keep demoted allocas alive incorrectly. *)
 let prune_unreachable (f : I.func) =
-  let reachable = Hashtbl.create 32 in
+  let by_name = Hashtbl.create 64 in
+  List.iter (fun (b : I.block) -> Hashtbl.replace by_name b.I.bname b) f.I.blocks;
+  let reachable = Hashtbl.create 64 in
   let rec visit name =
     if not (Hashtbl.mem reachable name) then begin
       Hashtbl.replace reachable name ();
-      let b = I.find_block_exn f name in
+      let b = Hashtbl.find by_name name in
       List.iter visit (I.term_succs b.I.term)
     end
   in
@@ -585,7 +593,7 @@ let compile src : I.modul =
         m.I.funcs <- m.I.funcs @ [ f ];
         let entry = { I.bname = "entry"; phis = []; insts = []; term = I.Unreachable } in
         let body0 = { I.bname = "body"; phis = []; insts = []; term = I.Unreachable } in
-        f.I.blocks <- [ entry; body0 ];
+        f.I.blocks <- [ body0; entry ];
         entry.I.term <- I.Br "body";
         let env =
           { m; globals; funcs; locals = []; f; entry; cur = body0;
@@ -606,6 +614,7 @@ let compile src : I.modul =
           else if fd.f_name = "main" then env.cur.I.term <- I.Ret (Some (I.i64 0))
           else env.cur.I.term <- I.Ret (Some (I.Const (I.Cint (0L, ir_ty fd.f_ret))))
         | _ -> ());
+        finish_func f;
         prune_unreachable f)
     prog;
   Mutls_mir.Mem2reg.run_module m;

@@ -129,39 +129,51 @@ let run (f : func) =
     List.iter (fun info -> Hashtbl.replace is_target info.a_reg info) promote;
     let live_at = alloca_liveness cfg is_target in
     (* 1. Pruned phi placement at iterated dominance frontiers of defs. *)
-    (* (block index, alloca reg) -> phi *)
-    let placed : (int * reg, phi) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun info ->
+    (* Blocks that store to each target, in ascending block order. *)
+    let def_lists : (reg, int list) Hashtbl.t = Hashtbl.create 16 in
+    Array.iteri
+      (fun bi b ->
+        List.iter
+          (fun i ->
+            match i.kind with
+            | Store (_, _, Reg r) when Hashtbl.mem is_target r -> (
+              match Hashtbl.find_opt def_lists r with
+              | Some (bj :: _) when bj = bi -> ()
+              | Some l -> Hashtbl.replace def_lists r (bi :: l)
+              | None -> Hashtbl.replace def_lists r [ bi ])
+            | _ -> ())
+          b.insts)
+      cfg.Cfg.blocks;
+    (* Per block, the phis placed there with their alloca.  [def_mark]/[phi_mark] hold the index of the alloca that
+       last set them, so they need no clearing between allocas. *)
+    let placed = Array.make nb [] in
+    let def_mark = Array.make nb (-1) in
+    let phi_mark = Array.make nb (-1) in
+    List.iteri
+      (fun k info ->
         let ty = Option.get info.a_ty in
-        let def_blocks = Array.make nb false in
-        Array.iteri
-          (fun bi b ->
-            List.iter
-              (fun i ->
-                match i.kind with
-                | Store (_, _, Reg r) when r = info.a_reg -> def_blocks.(bi) <- true
-                | _ -> ())
-              b.insts)
-          cfg.Cfg.blocks;
+        let defs =
+          List.rev (Option.value ~default:[] (Hashtbl.find_opt def_lists info.a_reg))
+        in
+        List.iter (fun bi -> def_mark.(bi) <- k) defs;
         let work = Queue.create () in
-        Array.iteri (fun bi d -> if d then Queue.add bi work) def_blocks;
-        let has_phi = Array.make nb false in
+        List.iter (fun bi -> Queue.add bi work) defs;
         while not (Queue.is_empty work) do
           let bi = Queue.pop work in
           List.iter
             (fun fr ->
-              if (not has_phi.(fr)) && live_at fr info.a_reg then begin
-                has_phi.(fr) <- true;
+              if phi_mark.(fr) <> k && live_at fr info.a_reg then begin
+                phi_mark.(fr) <- k;
                 let p = { pid = fresh_reg f ty; pty = ty; incoming = [] } in
                 cfg.Cfg.blocks.(fr).phis <- cfg.Cfg.blocks.(fr).phis @ [ p ];
-                Hashtbl.replace placed (fr, info.a_reg) p;
-                if not def_blocks.(fr) then Queue.add fr work
+                placed.(fr) <- (info.a_reg, p) :: placed.(fr);
+                if def_mark.(fr) <> k then Queue.add fr work
               end)
             dom.Dom.frontiers.(bi)
         done)
       promote;
     (* 2. Renaming pass over the dominator tree. *)
+    let module Env = Map.Make (Int) in
     let subst : (reg, value) Hashtbl.t = Hashtbl.create 64 in
     let rec resolve v =
       match v with
@@ -169,19 +181,17 @@ let run (f : func) =
         match Hashtbl.find_opt subst r with Some v' -> resolve v' | None -> v)
       | _ -> v
     in
-    let rec rename bi (env : (reg * value) list) =
+    let rec rename bi (env : value Env.t) =
       let b = cfg.Cfg.blocks.(bi) in
       let env = ref env in
-      let set_cur a v = env := (a, v) :: !env in
+      let set_cur a v = env := Env.add a v !env in
       let cur a =
-        match List.assoc_opt a !env with
+        match Env.find_opt a !env with
         | Some v -> v
         | None -> default_value (Option.get (Hashtbl.find is_target a).a_ty)
       in
       (* Phis placed for an alloca define its current value here. *)
-      Hashtbl.iter
-        (fun (bj, a) p -> if bj = bi then set_cur a (Reg p.pid))
-        placed;
+      List.iter (fun (a, p) -> set_cur a (Reg p.pid)) placed.(bi);
       let keep = ref [] in
       List.iter
         (fun i ->
@@ -204,14 +214,13 @@ let run (f : func) =
       (* Fill in successor phis for promoted allocas. *)
       List.iter
         (fun si ->
-          Hashtbl.iter
-            (fun (bj, a) p ->
-              if bj = si then p.incoming <- (b.bname, cur a) :: p.incoming)
-            placed)
+          List.iter
+            (fun (a, p) -> p.incoming <- (b.bname, cur a) :: p.incoming)
+            placed.(si))
         cfg.Cfg.succs.(bi);
       List.iter (fun child -> rename child !env) dom.Dom.children.(bi)
     in
-    rename 0 [];
+    rename 0 Env.empty;
     (* 3. Final cleanup: chase substitutions in any remaining operand
        (e.g. phis created earlier, or blocks visited before a load's
        definition was replaced — SSA dominance makes this safe). *)

@@ -215,38 +215,36 @@ let dce_once (f : func) =
       List.iter mark (term_uses b.term);
       List.iter (fun p -> List.iter (fun (_, v) -> mark v) p.incoming) b.phis)
     f.blocks;
-  (* transitively mark operands of used pure instructions *)
-  let changed_mark = ref true in
-  while !changed_mark do
-    changed_mark := false;
-    List.iter
-      (fun b ->
-        List.iter
-          (fun i ->
-            if i.ity <> Void && Hashtbl.mem used i.id then
-              List.iter
-                (fun v ->
-                  match v with
-                  | Reg r when not (Hashtbl.mem used r) ->
-                    Hashtbl.replace used r ();
-                    changed_mark := true
-                  | _ -> ())
-                (instr_uses i.kind))
-          b.insts;
-        List.iter
-          (fun p ->
-            if Hashtbl.mem used p.pid then
-              List.iter
-                (fun (_, v) ->
-                  match v with
-                  | Reg r when not (Hashtbl.mem used r) ->
-                    Hashtbl.replace used r ();
-                    changed_mark := true
-                  | _ -> ())
-                p.incoming)
-          b.phis)
-      f.blocks
-  done;
+  (* transitively mark operands of used pure instructions: each register
+     is pushed once, when first marked, and its definition's operands
+     are marked in turn *)
+  let operands : (reg, value list) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i -> if i.ity <> Void then Hashtbl.add operands i.id (instr_uses i.kind))
+        b.insts;
+      List.iter
+        (fun p -> Hashtbl.add operands p.pid (List.map snd p.incoming))
+        b.phis)
+    f.blocks;
+  let work = Stack.create () in
+  Hashtbl.iter (fun r () -> Stack.push r work) used;
+  let rec drain () =
+    match Stack.pop_opt work with
+    | None -> ()
+    | Some r ->
+      List.iter
+        (List.iter (fun v ->
+             match v with
+             | Reg r' when not (Hashtbl.mem used r') ->
+               Hashtbl.replace used r' ();
+               Stack.push r' work
+             | _ -> ()))
+        (Hashtbl.find_all operands r);
+      drain ()
+  in
+  drain ();
   let changed = ref false in
   List.iter
     (fun b ->
@@ -322,11 +320,20 @@ let simplify_cfg_once (f : func) =
       | _ -> ())
     f.blocks;
   (* 2. drop unreachable blocks *)
-  let reachable = Hashtbl.create 32 in
+  let by_name = Hashtbl.create 64 in
+  List.iter
+    (fun b -> if not (Hashtbl.mem by_name b.bname) then Hashtbl.add by_name b.bname b)
+    f.blocks;
+  let find name =
+    match Hashtbl.find_opt by_name name with
+    | Some b -> b
+    | None -> find_block_exn f name
+  in
+  let reachable = Hashtbl.create 64 in
   let rec visit name =
     if not (Hashtbl.mem reachable name) then begin
       Hashtbl.replace reachable name ();
-      List.iter visit (term_succs (find_block_exn f name).term)
+      List.iter visit (term_succs (find name).term)
     end
   in
   (match f.blocks with b :: _ -> visit b.bname | [] -> ());
@@ -354,7 +361,7 @@ let simplify_cfg_once (f : func) =
         (* successors of s may have phis naming s: relabel to b *)
         List.iter
           (fun l ->
-            let t = find_block_exn f l in
+            let t = find l in
             List.iter
               (fun p ->
                 p.incoming <-

@@ -180,7 +180,7 @@ let check_func (m : modul) (f : func) =
       | Br _ | Unreachable -> ());
       List.iter
         (fun l ->
-          if find_block f l = None then
+          if not (Hashtbl.mem cfg.Cfg.index l) then
             fail "%s/%s: branch to unknown block %s" f.fname b.bname l)
         (term_succs b.term))
     cfg.Cfg.blocks;

@@ -7,8 +7,7 @@
    it happened on.  Records flow into a pluggable [sink]; the built-in
    sinks cover the null case (tracing off, near-zero cost), a bounded
    ring buffer for in-process consumers, a human-readable stderr
-   printer (the successor of the old MUTLS_DEBUG env toggles), JSON
-   Lines for tooling, and the Chrome trace_event format loadable in
+   printer, JSON Lines for tooling, and the Chrome trace_event format loadable in
    chrome://tracing or Perfetto. *)
 
 (* --- event schema ---------------------------------------------------- *)
@@ -333,8 +332,7 @@ let ring_records rb =
       | Some r -> r
       | None -> assert false)
 
-(* Human-readable one-line-per-event printer: the replacement for the
-   old MUTLS_DEBUG / MUTLS_DEBUG2 stderr toggles. *)
+(* Human-readable one-line-per-event printer. *)
 let pretty_line r =
   let who =
     if r.thread < 0 then "engine"

@@ -6,11 +6,8 @@
     the virtual time of the simulation engine and the identity of the
     thread it happened on.  Records flow into a pluggable {!sink};
     select one through [Config.trace_sink] (library users) or
-    [mutlsc run/bench --trace FILE] (CLI).
-
-    The old [MUTLS_DEBUG] / [MUTLS_DEBUG2] environment toggles are
-    deprecated: the library never reads the process environment; the
-    CLI keeps a thin shim that maps them to {!stderr_pretty}. *)
+    [mutlsc run/bench --trace FILE] (CLI).  The library never reads
+    the process environment. *)
 
 (** {1 Event schema} *)
 
@@ -144,8 +141,7 @@ val pretty : ?charges:bool -> (string -> unit) -> sink
     also prints the high-volume per-category time charges. *)
 
 val stderr_pretty : ?charges:bool -> unit -> sink
-(** {!pretty} on stderr, flushed per line — the replacement for the old
-    [MUTLS_DEBUG] env toggle. *)
+(** {!pretty} on stderr, flushed per line. *)
 
 val jsonl : (string -> unit) -> sink
 (** JSON Lines, the format {!Report} and [mutlsc report] consume. *)

@@ -31,12 +31,9 @@ let model_to_int = function Mixed -> 0 | In_order -> 1 | Out_of_order -> 2
 
 (* --- speculation policy ----------------------------------------------- *)
 
-(* Structured replacement for the flat [backoff]/[degrade_after] knobs:
-   one sub-record describing the whole fork-decision strategy, built
+(* One sub-record describing the whole fork-decision strategy, built
    through smart constructors and validated with the rest of the
-   configuration.  The legacy flat fields survive as deprecated shims
-   that [effective_policy] folds in, so existing callers compile (and
-   behave) unchanged. *)
+   configuration. *)
 
 module Policy = struct
   type kind =
@@ -118,20 +115,15 @@ end
 
 (* --- speculative buffer geometry --------------------------------------- *)
 
-(* Structured replacement for the flat [buffer_slots]/[temp_slots]
-   knobs, mirroring the [Policy] pattern: one sub-record describing the
-   whole memory-system geometry — home-map sharding, the graceful spill
-   tier, and bulk line granularity — built through a smart constructor
-   and validated with the rest of the configuration.  The legacy flat
-   fields survive as deprecated shims that [effective_buffers] folds
-   in, so existing callers compile (and behave) unchanged. *)
+(* One sub-record describing the whole memory-system geometry —
+   home-map size, sharding, the graceful spill tier, and bulk line
+   granularity — built through a smart constructor and validated with
+   the rest of the configuration, mirroring [Policy]. *)
 
 module Buffers = struct
   type t = {
-    slots : int; (* total home-map slots (power of two);
-                    0 = inherit the deprecated flat [buffer_slots] *)
-    temp_slots : int; (* park-buffer entries for hash conflicts;
-                         -1 = inherit the deprecated flat [temp_slots] *)
+    slots : int; (* total home-map slots (power of two) *)
+    temp_slots : int; (* park-buffer entries for hash conflicts *)
     shards : int; (* power-of-two shard count; address ranges interleave
                      across shards at line granularity *)
     spill_slots : int; (* spill-tier capacity (power of two); 0 turns the
@@ -141,7 +133,8 @@ module Buffers = struct
   }
 
   let default =
-    { slots = 0; temp_slots = -1; shards = 1; spill_slots = 0; line_words = 1 }
+    { slots = 1 lsl 16; temp_slots = 64; shards = 1; spill_slots = 0;
+      line_words = 1 }
 
   let make ?(slots = default.slots) ?(temp_slots = default.temp_slots)
       ?(shards = default.shards) ?(spill_slots = default.spill_slots)
@@ -152,8 +145,6 @@ module Buffers = struct
 
   let power_of_two n = n >= 1 && n land (n - 1) = 0
 
-  (* Validates a RESOLVED record (after [effective_buffers]): the
-     inherit sentinels 0/-1 are gone by then. *)
   let validate b =
     if not (power_of_two b.slots) then
       fail "Config.Buffers.slots must be a positive power of two (got %d)"
@@ -220,8 +211,6 @@ type t = {
                     when domains < ncpus).  Ignored by the deterministic
                     simulator, which always runs on one systhread. *)
   cost : cost;
-  buffer_slots : int; (* GlobalBuffer map slots; power of two *)
-  temp_slots : int; (* overflow buffer entries *)
   max_locals : int; (* RegisterBuffer static array size *)
   model_override : model option; (* force all fork points to one model *)
   rollback_probability : float; (* injected validation failures, Fig. 11 *)
@@ -232,9 +221,8 @@ type t = {
                               fork-time register values *)
   trace_sink : Mutls_obs.Trace.sink;
   (* Destination of the runtime's typed event trace; Trace.null (the
-     default) keeps tracing disabled at near-zero cost.  This replaces
-     the old MUTLS_DEBUG/MUTLS_DEBUG2 env toggles: the library never
-     reads the process environment. *)
+     default) keeps tracing disabled at near-zero cost.  The library
+     never reads the process environment. *)
   telemetry : Mutls_obs.Telemetry.t;
   (* Always-on metrics registry the runtime records into; defaults to
      the process-wide Telemetry.default.  Pass Telemetry.disabled to
@@ -245,16 +233,8 @@ type t = {
   fault : Fault.plan option; (* chaos testing: deterministic fault
                                 injection at the runtime's failure
                                 sites; None (the default) disables it *)
-  backoff : bool; (* DEPRECATED shim: use [policy]; folded in by
-                     [effective_policy] (OR'd with policy.backoff) *)
-  degrade_after : int; (* DEPRECATED shim: use [policy]; folded in by
-                          [effective_policy] when policy.degrade_after
-                          is 0 *)
   policy : Policy.t; (* the fork-decision strategy; see Config.Policy *)
-  buffers : Buffers.t; (* the memory-system geometry; see Config.Buffers.
-                          The flat [buffer_slots]/[temp_slots] above are
-                          DEPRECATED shims folded in by
-                          [effective_buffers] *)
+  buffers : Buffers.t; (* the memory-system geometry; see Config.Buffers *)
 }
 
 let default =
@@ -262,8 +242,6 @@ let default =
     ncpus = 4;
     domains = 1;
     cost = default_cost;
-    buffer_slots = 1 lsl 16;
-    temp_slots = 64;
     max_locals = 256;
     model_override = None;
     rollback_probability = 0.0;
@@ -274,39 +252,14 @@ let default =
     trace_sink = Mutls_obs.Trace.null;
     telemetry = Mutls_obs.Telemetry.default;
     fault = None;
-    backoff = false;
-    degrade_after = 0;
     policy = Policy.default;
     buffers = Buffers.default;
   }
 
-(* The policy actually in force: the structured sub-record with the
-   deprecated flat fields folded in.  Flat [backoff] ORs into the
-   policy's; flat [degrade_after] applies only when the policy leaves
-   its own at 0 (the structured field wins when both are set). *)
-let effective_policy t =
-  {
-    t.policy with
-    Policy.backoff = t.policy.Policy.backoff || t.backoff;
-    degrade_after =
-      (if t.policy.Policy.degrade_after > 0 then t.policy.Policy.degrade_after
-       else t.degrade_after);
-  }
-
-(* The buffer geometry actually in force: the structured sub-record
-   with the deprecated flat fields folded in.  Flat [buffer_slots]
-   applies while the structured [slots] is 0 (its inherit sentinel);
-   flat [temp_slots] applies while structured [temp_slots] is -1. *)
-let effective_buffers t =
-  {
-    t.buffers with
-    Buffers.slots =
-      (if t.buffers.Buffers.slots > 0 then t.buffers.Buffers.slots
-       else t.buffer_slots);
-    temp_slots =
-      (if t.buffers.Buffers.temp_slots >= 0 then t.buffers.Buffers.temp_slots
-       else t.temp_slots);
-  }
+(* The geometry every GlobalBuffer of a run is sized from.  The
+   benchmark harness (perfbench/harness.ml) reads it through this
+   name. *)
+let effective_buffers t = t.buffers
 
 (* --- validation ------------------------------------------------------- *)
 
@@ -343,11 +296,6 @@ let validate t =
   if t.domains < 1 then fail "Config.domains must be >= 1 (got %d)" t.domains;
   if t.domains > max_domains then
     fail "Config.domains must be <= %d (got %d)" max_domains t.domains;
-  if t.buffer_slots < 1 || t.buffer_slots land (t.buffer_slots - 1) <> 0 then
-    fail "Config.buffer_slots must be a positive power of two (got %d)"
-      t.buffer_slots;
-  if t.temp_slots < 0 then
-    fail "Config.temp_slots must be non-negative (got %d)" t.temp_slots;
   if t.max_locals < 1 then
     fail "Config.max_locals must be >= 1 (got %d)" t.max_locals;
   if not (t.rollback_probability >= 0.0 && t.rollback_probability <= 1.0) then
@@ -355,9 +303,7 @@ let validate t =
       t.rollback_probability;
   if not (t.quantum > 0.0) then
     fail "Config.quantum must be positive (got %g)" t.quantum;
-  if t.degrade_after < 0 then
-    fail "Config.degrade_after must be non-negative (got %d)" t.degrade_after;
   Policy.validate t.policy;
-  Buffers.validate (effective_buffers t);
+  Buffers.validate t.buffers;
   check_cost t.cost;
   match t.fault with None -> () | Some plan -> Fault.validate_plan plan

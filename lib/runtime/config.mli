@@ -23,9 +23,7 @@ val cascade_to_string : cascade -> string
 
 (** Structured fork-decision strategy: which policy engine drives
     per-fork-point decisions (see {!Mutls_runtime.Policy}) and its
-    tuning knobs.  Replaces the deprecated flat [backoff] /
-    [degrade_after] fields of {!t}, which remain as shims folded in by
-    {!effective_policy}. *)
+    tuning knobs. *)
 module Policy : sig
   type kind =
     | Static
@@ -86,21 +84,17 @@ module Policy : sig
   (** @raise Invalid_argument on the first violated constraint. *)
 end
 
-(** Structured memory-system geometry: home-map sharding, the graceful
-    spill tier and bulk line granularity of the speculative
-    GlobalBuffer (see {!Mutls_runtime.Global_buffer}).  Replaces the
-    deprecated flat [buffer_slots] / [temp_slots] fields of {!t}, which
-    remain as shims folded in by {!effective_buffers}. *)
+(** Structured memory-system geometry: home-map size, sharding, the
+    graceful spill tier and bulk line granularity of the speculative
+    GlobalBuffer (see {!Mutls_runtime.Global_buffer}). *)
 module Buffers : sig
   type t = {
     slots : int;
         (** total home-map slots, a power of two, split evenly across
-            the shards; [0] (the default) inherits the deprecated flat
-            [buffer_slots] *)
+            the shards *)
     temp_slots : int;
         (** park-buffer entries absorbing hash conflicts when the spill
-            tier is off; [-1] (the default) inherits the deprecated
-            flat [temp_slots] *)
+            tier is off *)
     shards : int;
         (** power-of-two shard count; address ranges interleave across
             shards at 64-byte line granularity, each shard keeping its
@@ -120,8 +114,8 @@ module Buffers : sig
   }
 
   val default : t
-  (** Inherit the flat fields, one shard, spill tier off, per-word
-      validate/commit — the seed behaviour. *)
+  (** [2^16] home slots, 64 park entries, one shard, spill tier off,
+      per-word validate/commit — the seed behaviour. *)
 
   val make :
     ?slots:int ->
@@ -133,9 +127,7 @@ module Buffers : sig
     t
 
   val validate : t -> unit
-  (** Validates a resolved record (after {!effective_buffers} folded
-      the inherit sentinels away).
-      @raise Invalid_argument on the first violated constraint. *)
+  (** @raise Invalid_argument on the first violated constraint. *)
 end
 
 (** Virtual-cycle costs of the runtime's operations. *)
@@ -171,8 +163,6 @@ type t = {
           multiplexes when [domains < ncpus]).  Ignored by the
           deterministic simulator.  Default [1]. *)
   cost : cost;
-  buffer_slots : int;  (** GlobalBuffer map slots; a power of two *)
-  temp_slots : int;  (** overflow buffer entries *)
   max_locals : int;  (** RegisterBuffer static array size *)
   model_override : model option;
       (** force every fork point to one model (Fig. 10) *)
@@ -186,9 +176,8 @@ type t = {
   trace_sink : Mutls_obs.Trace.sink;
       (** destination of the runtime's typed event trace;
           [Mutls_obs.Trace.null] (the default) keeps tracing disabled
-          at near-zero cost.  Replaces the old [MUTLS_DEBUG] /
-          [MUTLS_DEBUG2] env toggles — the library never reads the
-          process environment. *)
+          at near-zero cost.  The library never reads the process
+          environment. *)
   telemetry : Mutls_obs.Telemetry.t;
       (** always-on metrics registry the runtime records into;
           defaults to the process-wide [Telemetry.default].  Pass
@@ -201,41 +190,23 @@ type t = {
       (** chaos testing: deterministic fault injection at the runtime's
           failure sites (see {!Fault}); [None] (the default) disables
           injection entirely *)
-  backoff : bool;
-      (** @deprecated flat shim for {!Policy.t.backoff}: OR'd into the
-          policy by {!effective_policy} so pre-policy callers behave
-          unchanged.  Prefer [policy = Policy.static ~backoff:true ()]. *)
-  degrade_after : int;
-      (** @deprecated flat shim for {!Policy.t.degrade_after}: applied
-          by {!effective_policy} when the structured field is [0].
-          Prefer [policy = Policy.static ~degrade_after:n ()]. *)
   policy : Policy.t;
       (** the fork-decision strategy; [Policy.default] (static, no
           backoff, no degrade) preserves seed behaviour and traces *)
   buffers : Buffers.t;
-      (** the memory-system geometry; [Buffers.default] (one shard,
-          spill tier off, per-word bulk granularity, sizes inherited
-          from the flat fields) preserves seed behaviour and traces *)
+      (** the memory-system geometry; [Buffers.default] preserves seed
+          behaviour and traces *)
 }
 
 val default : t
 
-val effective_policy : t -> Policy.t
-(** The policy actually in force: [t.policy] with the deprecated flat
-    [backoff]/[degrade_after] fields folded in (flat [backoff] ORs in;
-    flat [degrade_after] applies only when the structured field is 0).
-    [Thread_manager.create] instantiates its engine from this. *)
-
 val effective_buffers : t -> Buffers.t
-(** The buffer geometry actually in force: [t.buffers] with the
-    deprecated flat [buffer_slots]/[temp_slots] fields folded in (each
-    flat field applies while the structured one is left at its inherit
-    sentinel, [0] for [slots] and [-1] for [temp_slots]).
-    [Thread_manager.create] sizes every GlobalBuffer from this. *)
+(** [t.buffers]: the geometry every GlobalBuffer of a run is sized
+    from.  The benchmark harness reads it through this name. *)
 
 val validate : t -> unit
 (** Reject malformed configurations up front — [1 <= ncpus <= 1024],
-    [1 <= domains <= 128], [buffer_slots] a positive power of two,
+    [1 <= domains <= 128], [buffers.slots] a positive power of two,
     non-negative sizes, rates and costs, probabilities in [[0, 1]] —
     with a field-specific message instead of failing deep inside
     [Global_buffer.create] (or spawning a thousand domains).  Called by

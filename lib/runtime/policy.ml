@@ -340,7 +340,7 @@ let hostile () =
       | _ -> Speculate rq.rq_model)
 
 let of_config (cfg : Config.t) =
-  let p = Config.effective_policy cfg in
+  let p = cfg.Config.policy in
   match p.Config.Policy.kind with
   | Config.Policy.Static -> static p
   | Config.Policy.Adaptive -> adaptive p

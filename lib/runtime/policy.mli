@@ -118,5 +118,4 @@ val hostile : unit -> t
     mechanism-level safety gates. *)
 
 val of_config : Config.t -> t
-(** Instantiate from [Config.effective_policy] (the structured policy
-    with the deprecated flat fields folded in). *)
+(** Instantiate from [cfg.policy]. *)

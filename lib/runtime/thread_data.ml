@@ -43,8 +43,7 @@ and restore = {
 
 (* [new_flag] comes from the manager's execution layer (Exec.t), so a
    thread's flags match the engine that will wait on them. *)
-let create ?gbuf ?(shards = 1) ?(spill_slots = 0) ?(line_words = 1) ~new_flag
-    ~id ~rank ~fork_point ~is_main ~buffer_slots ~temp_slots ~max_locals () =
+let create ~gbuf ~new_flag ~id ~rank ~fork_point ~is_main ~max_locals () =
   {
     id;
     rank;
@@ -53,12 +52,7 @@ let create ?gbuf ?(shards = 1) ?(spill_slots = 0) ?(line_words = 1) ~new_flag
     sync_status = new_flag ();
     valid_status = new_flag ();
     children = Stack.create ();
-    gbuf =
-      (match gbuf with
-      | Some g -> g
-      | None ->
-        Global_buffer.create ~shards ~spill_slots ~line_words
-          ~slots:buffer_slots ~temp_slots ());
+    gbuf;
     lbuf = Local_buffer.create ~max_locals;
     stats = Stats.create ();
     alive = true;

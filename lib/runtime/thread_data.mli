@@ -52,25 +52,18 @@ and restore = {
 }
 
 val create :
-  ?gbuf:Global_buffer.t ->
-  ?shards:int ->
-  ?spill_slots:int ->
-  ?line_words:int ->
+  gbuf:Global_buffer.t ->
   new_flag:(unit -> Exec.flag) ->
   id:int ->
   rank:int ->
   fork_point:int ->
   is_main:bool ->
-  buffer_slots:int ->
-  temp_slots:int ->
   max_locals:int ->
   unit ->
   t
-(** [gbuf] lets the manager pool one GlobalBuffer per CPU rank, as in
-    the paper; the geometry options (defaults [1]/[0]/[1] — the seed
-    layout) are forwarded to {!Global_buffer.create} when no pooled
-    buffer is supplied.  [new_flag] supplies the backend-specific flag
-    representation (see {!Exec}). *)
+(** [gbuf] comes from the manager, which pools one GlobalBuffer per CPU
+    rank, as in the paper, sized from [Config.buffers].  [new_flag]
+    supplies the backend-specific flag representation (see {!Exec}). *)
 
 val map_pointer : restore -> int -> int option
 (** Map a committed pointer into the speculative stack to the

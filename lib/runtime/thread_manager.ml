@@ -72,7 +72,6 @@ type tele = {
   t_joins_fail : Telemetry.counter;
   t_loads : Telemetry.counter;
   t_stores : Telemetry.counter;
-  t_spills : Telemetry.counter;
   t_parks : Telemetry.counter;
   t_gbuf_spills : Telemetry.counter;
   t_frames : Telemetry.counter;
@@ -136,12 +135,6 @@ let make_tele reg =
     t_joins_fail = c ~labels:[ ("committed", "false") ] "mutls_joins_total";
     t_loads = c ~help:"speculative loads" "mutls_loads_total";
     t_stores = c ~help:"speculative stores" "mutls_stores_total";
-    t_spills =
-      c
-        ~help:
-          "GlobalBuffer hash conflicts parked in the temp buffer \
-           (deprecated alias of mutls_gbuf_parks_total)"
-        "mutls_spills_total";
     t_parks =
       c ~help:"GlobalBuffer hash conflicts parked in the temp buffer"
         "mutls_gbuf_parks_total";
@@ -263,11 +256,7 @@ let install_hooks mgr (td : Thread_data.t) =
   Global_buffer.set_park_hook td.gbuf
     (Some
        (fun addr ->
-         if mgr.tele.on then begin
-           (* mutls_spills_total is the deprecated alias of parks. *)
-           Telemetry.incr mgr.tele.t_spills;
-           Telemetry.incr mgr.tele.t_parks
-         end;
+         if mgr.tele.on then Telemetry.incr mgr.tele.t_parks;
          if tracing mgr then emit mgr td (Trace.Park { addr })));
   Global_buffer.set_spill_hook td.gbuf
     (Some
@@ -289,15 +278,17 @@ let install_hooks mgr (td : Thread_data.t) =
 
 let create_exec ?policy (cfg : Config.t) (exec : Exec.t) mem =
   Config.validate cfg;
-  let bufs = Config.effective_buffers cfg in
-  let main =
-    Thread_data.create ~new_flag:exec.Exec.new_flag ~id:0 ~rank:0
-      ~fork_point:(-1) ~is_main:true
-      ~buffer_slots:bufs.Config.Buffers.slots
+  let bufs = cfg.buffers in
+  let gbuf () =
+    Global_buffer.create ~slots:bufs.Config.Buffers.slots
       ~temp_slots:bufs.Config.Buffers.temp_slots
       ~shards:bufs.Config.Buffers.shards
       ~spill_slots:bufs.Config.Buffers.spill_slots
-      ~line_words:bufs.Config.Buffers.line_words ~max_locals:cfg.max_locals ()
+      ~line_words:bufs.Config.Buffers.line_words ()
+  in
+  let main =
+    Thread_data.create ~gbuf:(gbuf ()) ~new_flag:exec.Exec.new_flag ~id:0
+      ~rank:0 ~fork_point:(-1) ~is_main:true ~max_locals:cfg.max_locals ()
   in
   let mgr =
     {
@@ -313,13 +304,7 @@ let create_exec ?policy (cfg : Config.t) (exec : Exec.t) mem =
       main;
       retired = [];
       strides = Hashtbl.create 64;
-      buffer_pool =
-        Array.init (max 1 cfg.ncpus) (fun _ ->
-            Global_buffer.create ~slots:bufs.Config.Buffers.slots
-              ~temp_slots:bufs.Config.Buffers.temp_slots
-              ~shards:bufs.Config.Buffers.shards
-              ~spill_slots:bufs.Config.Buffers.spill_slots
-              ~line_words:bufs.Config.Buffers.line_words ());
+      buffer_pool = Array.init (max 1 cfg.ncpus) (fun _ -> gbuf ());
       fault = Option.map (Fault.create ~seed:cfg.seed) cfg.fault;
       policy =
         (match policy with Some p -> p | None -> Policy.of_config cfg);
@@ -565,8 +550,7 @@ let get_cpu mgr (td : Thread_data.t) ~model ~expandable ~point =
       let child =
         Thread_data.create ~gbuf:mgr.buffer_pool.(rank)
           ~new_flag:mgr.exec.Exec.new_flag ~id:mgr.next_id ~rank
-          ~fork_point:point ~is_main:false ~buffer_slots:mgr.cfg.buffer_slots
-          ~temp_slots:mgr.cfg.temp_slots ~max_locals:mgr.cfg.max_locals ()
+          ~fork_point:point ~is_main:false ~max_locals:mgr.cfg.max_locals ()
       in
       mgr.next_id <- mgr.next_id + 1;
       child.parent <- Some td;

@@ -146,7 +146,7 @@ let test_fault_schedule_property =
       in
       let cfg =
         { Config.default with ncpus; fault = Some plan; seed;
-          backoff = (seed mod 2 = 0) }
+          policy = Config.Policy.static ~backoff:(seed mod 2 = 0) () }
       in
       let _, out = run_with cfg conflict_source in
       out = seq_output conflict_source)
@@ -159,7 +159,10 @@ let test_overflow_rollback () =
      parent re-executes and the run still completes correctly. *)
   let events, sink = recording_sink () in
   let cfg =
-    { Config.default with ncpus = 4; buffer_slots = 2; temp_slots = 0; trace_sink = sink }
+    { Config.default with
+      ncpus = 4;
+      buffers = Config.Buffers.make ~slots:2 ~temp_slots:0 ();
+      trace_sink = sink }
   in
   let r, out = run_with cfg conflict_source in
   Alcotest.(check string) "output survives overflow" (seq_output conflict_source) out;
@@ -199,7 +202,7 @@ let test_degradation () =
       Config.default with
       ncpus = 4;
       fault = Some plan;
-      degrade_after = 2;
+      policy = Config.Policy.static ~degrade_after:2 ();
       trace_sink = sink;
       seed = 5;
     }
@@ -224,7 +227,8 @@ let test_backoff () =
   let events, sink = recording_sink () in
   let plan = { Fault.none with Fault.validation = 1.0 } in
   let cfg =
-    { Config.default with ncpus = 4; fault = Some plan; backoff = true;
+    { Config.default with ncpus = 4; fault = Some plan;
+      policy = Config.Policy.static ~backoff:true ();
       trace_sink = sink; seed = 9 }
   in
   let _, out = run_with cfg conflict_source in
@@ -247,16 +251,16 @@ let test_config_validate () =
   Config.validate Config.default;
   let bad msg t = Alcotest.check_raises msg (Invalid_argument msg) (fun () -> Config.validate t) in
   bad "Config.ncpus must be >= 1 (got 0)" { Config.default with ncpus = 0 };
-  bad "Config.buffer_slots must be a positive power of two (got 3)"
-    { Config.default with buffer_slots = 3 };
-  bad "Config.buffer_slots must be a positive power of two (got 0)"
-    { Config.default with buffer_slots = 0 };
-  bad "Config.temp_slots must be non-negative (got -1)"
-    { Config.default with temp_slots = -1 };
+  bad "Config.Buffers.slots must be a positive power of two (got 3)"
+    { Config.default with buffers = Config.Buffers.make ~slots:3 () };
+  bad "Config.Buffers.slots must be a positive power of two (got 0)"
+    { Config.default with buffers = Config.Buffers.make ~slots:0 () };
+  bad "Config.Buffers.temp_slots must be non-negative (got -1)"
+    { Config.default with buffers = Config.Buffers.make ~temp_slots:(-1) () };
   bad "Config.rollback_probability must be in [0, 1] (got 2)"
     { Config.default with rollback_probability = 2.0 };
-  bad "Config.degrade_after must be non-negative (got -3)"
-    { Config.default with degrade_after = -3 };
+  bad "Config.Policy.degrade_after must be non-negative (got -3)"
+    { Config.default with policy = Config.Policy.static ~degrade_after:(-3) () };
   bad "Config.cost.instr must be non-negative (got -1)"
     { Config.default with cost = { Config.default.cost with instr = -1.0 } };
   (* Thread_manager.create validates too *)
@@ -397,7 +401,7 @@ let test_spill_exhaust_fault () =
           Config.default with
           ncpus = 4;
           fault = Some { Fault.none with Fault.spill_exhaust = rate };
-          degrade_after = 4;
+          policy = Config.Policy.static ~degrade_after:4 ();
           seed = 11;
           buffers =
             { Config.Buffers.default with Config.Buffers.spill_slots = 64 };
@@ -424,8 +428,7 @@ let test_oracle_on_real_runs () =
           Config.default with
           ncpus = 6;
           fault = Some plan;
-          backoff = true;
-          degrade_after = 4;
+          policy = Config.Policy.static ~backoff:true ~degrade_after:4 ();
           seed;
           trace_sink = Oracle.sink oracle;
         }

@@ -281,6 +281,31 @@ let test_trap_unknown_block () =
   expect_trap "unknown block nowhere in @main" (fun () ->
       Reference.run_sequential m)
 
+(* Verify-valid IR with no register-bank lowering: a function
+   reference as the [Ptradd] base.  The compiled engine refuses the
+   whole module with a trap naming the function; the reference rejects
+   the operand when it evaluates it. *)
+let test_trap_unbankable () =
+  let m =
+    empty_func
+      (Ir.Ret (Some (Ir.i64 0)))
+      [ { Ir.id = 0; ity = Ir.Ptr; kind = Ir.Ptradd (Ir.Funcref "main", Ir.i64 0) } ]
+  in
+  Mutls_mir.Verify.check_module m;
+  let names_main run =
+    match run () with
+    | _ -> Alcotest.fail "expected a trap"
+    | exception Ops.Trap msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "trap names @main: %s" msg)
+        true
+        (Astring_contains.contains msg "@main")
+  in
+  names_main (fun () -> ignore (Eval.run_sequential m));
+  names_main (fun () -> ignore (Eval.run_tls Config.default m));
+  expect_trap "function reference in value position" (fun () ->
+      Reference.run_sequential m)
+
 (* --- random programs: compiled == reference, including total cost ------ *)
 
 let test_random_agreement =
@@ -308,7 +333,7 @@ let test_random_agreement =
 (* The register banks split values by static type: i8/i32 sub-word
    arithmetic (masking and sign-extension on the int bank) and double
    bodies (the float bank, plus the casts that cross over) are exactly
-   where a banked lowering can diverge from the boxed engines — so
+   where a banked lowering can diverge from the boxed reference — so
    bias generation toward them. *)
 let gen_typed_stmt =
   let open QCheck.Gen in
@@ -368,8 +393,8 @@ let test_random_bank_boundaries =
 (* A straight-line integer loop body runs entirely in the register
    banks: beyond the fixed per-run setup (frame image, memory, output
    buffer) it must allocate ~0 minor words per executed instruction.
-   The boxed engine allocates 2+ words per arithmetic result, so this
-   fails loudly if the banked path stops engaging. *)
+   A boxed [Value.v] costs 2+ words per arithmetic result, so this
+   fails loudly if any boxing creeps into the banked path. *)
 let test_allocation_budget () =
   let iters = 20000 in
   let src =
@@ -503,6 +528,8 @@ let tests =
       test_trap_unknown_callee;
     Alcotest.test_case "unknown block traps cleanly" `Quick
       test_trap_unknown_block;
+    Alcotest.test_case "unbankable module traps cleanly" `Quick
+      test_trap_unbankable;
     test_random_agreement;
     test_random_bank_boundaries;
     Alcotest.test_case "hot path allocation budget" `Quick

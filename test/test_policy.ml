@@ -81,22 +81,6 @@ let test_validate () =
   | () -> Alcotest.fail "Config.validate should reject a bad policy"
   | exception Invalid_argument _ -> ()
 
-(* The deprecated flat fields keep working: effective_policy folds them
-   into the nested record, so pre-policy call sites behave unchanged. *)
-let test_deprecated_shims () =
-  let cfg = { Config.default with backoff = true; degrade_after = 7 } in
-  let p = Config.effective_policy cfg in
-  Alcotest.(check bool) "flat backoff folds" true p.Config.Policy.backoff;
-  Alcotest.(check int) "flat degrade folds" 7 p.Config.Policy.degrade_after;
-  (* the nested field wins when it is set *)
-  let cfg =
-    { Config.default with
-      degrade_after = 7;
-      policy = Config.Policy.static ~degrade_after:3 () }
-  in
-  Alcotest.(check int) "nested degrade wins" 3
-    (Config.effective_policy cfg).Config.Policy.degrade_after
-
 (* --- static engine ----------------------------------------------------- *)
 
 let test_static_backoff_transitions () =
@@ -523,7 +507,6 @@ let tests =
     Alcotest.test_case "Config.Policy kind round-trip" `Quick test_kind_round_trip;
     Alcotest.test_case "Config.Policy builders" `Quick test_builders;
     Alcotest.test_case "Config.Policy validation" `Quick test_validate;
-    Alcotest.test_case "deprecated flat shims fold" `Quick test_deprecated_shims;
     Alcotest.test_case "static backoff transitions" `Quick test_static_backoff_transitions;
     Alcotest.test_case "static without backoff never vetoes" `Quick
       test_static_no_backoff_is_permissive;

@@ -258,12 +258,9 @@ int main() {
       let cfg =
         { Mutls_runtime.Config.default with
           ncpus = 4;
-          buffer_slots = 16;
-          temp_slots = 2;
           buffers =
-            { Mutls_runtime.Config.Buffers.default with
-              Mutls_runtime.Config.Buffers.spill_slots = 128
-            }
+            Mutls_runtime.Config.Buffers.make ~slots:16 ~temp_slots:2
+              ~spill_slots:128 ()
         }
       in
       let r = Mutls_interp.Eval.run_tls cfg t in
